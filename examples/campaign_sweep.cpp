@@ -102,12 +102,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -185,7 +186,8 @@ int usage(const char* argv0) {
 }
 
 /// `campaign_sweep axes`: the sweepable-knob registry, one line per axis.
-int run_axes() {
+int run_axes(const char* argv0, int argc, char** /*argv*/) {
+  if (argc != 0) return usage(argv0);
   for (const msa::campaign::AxisDescriptor& axis :
        msa::campaign::axis_registry()) {
     std::string kind = msa::campaign::axis_kind_name(axis.kind);
@@ -203,13 +205,8 @@ int run_axes() {
   return 0;
 }
 
-/// All "*.store" files under a workers directory, sorted for stable
-/// error messages.
-std::vector<std::string> worker_stores(const std::string& dir) {
-  return msa::persist::list_store_files(dir);
-}
-
-enum class OutputFormat { kText, kCsv, kJson };
+/// stats/diff/metrics output format.
+using OutputFormat = msa::obs::MetricsFormat;
 
 bool parse_format(const std::string& s, OutputFormat* format) {
   if (s == "text") *format = OutputFormat::kText;
@@ -240,35 +237,10 @@ double parse_double(const char* argv0, const char* flag,
   return v;
 }
 
-unsigned parse_unsigned(const char* argv0, const char* flag,
-                        const std::string& s) {
-  // strtoul accepts "-1" (wraps to ULONG_MAX); require plain digits and
-  // a value that fits in unsigned.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    bad_number(argv0, flag, s);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE ||
-      v > std::numeric_limits<unsigned>::max()) {
-    bad_number(argv0, flag, s);
-  }
-  return static_cast<unsigned>(v);
-}
-
-/// Rejects zero as well: "--threads 0" and "--trials 0" are almost always
-/// typos, and silently mapping them to a default hides the mistake.
-unsigned parse_positive(const char* argv0, const char* flag,
-                        const std::string& s) {
-  const unsigned v = parse_unsigned(argv0, flag, s);
-  if (v == 0) bad_number(argv0, flag, s);
-  return v;
-}
-
 /// Byte counts (--max-level-bytes) go beyond unsigned range.
 std::uint64_t parse_u64(const char* argv0, const char* flag,
                         const std::string& s) {
+  // strtoull accepts "-1" (wraps to ULLONG_MAX); require plain digits.
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
     bad_number(argv0, flag, s);
   }
@@ -281,25 +253,20 @@ std::uint64_t parse_u64(const char* argv0, const char* flag,
   return static_cast<std::uint64_t>(v);
 }
 
-/// One "--cells AXIS=V1[,V2...]" occurrence; repeats AND together.
-bool parse_cells_clause(const std::string& spec,
-                        msa::persist::CellFilter* filter) {
-  try {
-    filter->clauses.push_back(msa::persist::CellFilter::parse_clause(spec));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "--cells: %s\n", e.what());
-    return false;
-  }
-  return true;
+unsigned parse_unsigned(const char* argv0, const char* flag,
+                        const std::string& s) {
+  const std::uint64_t v = parse_u64(argv0, flag, s);
+  if (v > std::numeric_limits<unsigned>::max()) bad_number(argv0, flag, s);
+  return static_cast<unsigned>(v);
 }
 
-std::vector<double> parse_doubles(const char* argv0, const char* flag,
-                                  const std::string& csv) {
-  std::vector<double> out;
-  for (const auto& piece : msa::util::split(csv, ',')) {
-    out.push_back(parse_double(argv0, flag, piece));
-  }
-  return out;
+/// Rejects zero as well: "--threads 0" and "--trials 0" are almost always
+/// typos, and silently mapping them to a default hides the mistake.
+unsigned parse_positive(const char* argv0, const char* flag,
+                        const std::string& s) {
+  const unsigned v = parse_unsigned(argv0, flag, s);
+  if (v == 0) bad_number(argv0, flag, s);
+  return v;
 }
 
 /// "--shard I/N" with 0 <= I < N.
@@ -312,29 +279,184 @@ void parse_shard(const char* argv0, const std::string& s,
   if (*shard_index >= *shard_count) bad_number(argv0, "--shard", s);
 }
 
+using AxisFlags =
+    std::vector<std::pair<std::string, std::vector<msa::campaign::AxisValue>>>;
+
+/// One "--axis NAME=v1,v2,..." occurrence, validated against the axis
+/// registry; false (after saying why) on a usage error.
+bool parse_axis(const char* argv0, const std::string& spec, AxisFlags* out) {
+  const auto eq = spec.find('=');
+  if (eq == 0 || eq == std::string::npos || eq + 1 == spec.size()) {
+    std::fprintf(stderr, "--axis wants NAME=v1,v2,... (got '%s')\n",
+                 spec.c_str());
+    return false;
+  }
+  const std::string name = spec.substr(0, eq);
+  const msa::campaign::AxisDescriptor* axis = msa::campaign::find_axis(name);
+  if (axis == nullptr) {
+    std::fprintf(stderr,
+                 "--axis: unknown axis '%s' (list the registry with "
+                 "`%s axes`)\n",
+                 name.c_str(), argv0);
+    return false;
+  }
+  std::vector<msa::campaign::AxisValue> values;
+  for (const auto& piece : msa::util::split(spec.substr(eq + 1), ',')) {
+    try {
+      values.push_back(msa::campaign::parse_axis_value(*axis, piece));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "--axis: %s\n", e.what());
+      return false;
+    }
+    // Catch duplicates here for a clean exit 2; GridBuilder would
+    // reject them at build() time (exit 1) otherwise.
+    for (std::size_t j = 0; j + 1 < values.size(); ++j) {
+      if (values[j] == values.back()) {
+        std::fprintf(stderr, "--axis: axis '%s' repeats value '%s'\n",
+                     name.c_str(), values.back().label().c_str());
+        return false;
+      }
+    }
+  }
+  out->emplace_back(name, std::move(values));
+  return true;
+}
+
+/// One entry of a subcommand's flag table. `apply` gets the flag's value
+/// (nullptr for a switch) and returns false on a usage error; the
+/// number parsers above exit 2 themselves.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  std::function<bool(const char* value)> apply;
+};
+
+Flag text_flag(const char* name, std::string* out) {
+  return {name, true, [out](const char* v) {
+            *out = v;
+            return true;
+          }};
+}
+
+Flag switch_flag(const char* name, bool* out) {
+  return {name, false, [out](const char*) {
+            *out = true;
+            return true;
+          }};
+}
+
+Flag positive_flag(const char* argv0, const char* name, unsigned* out) {
+  return {name, true, [=](const char* v) {
+            *out = parse_positive(argv0, name, v);
+            return true;
+          }};
+}
+
+/// A comma-separated list flag (--defenses/--models).
+Flag list_flag(const char* name, std::vector<std::string>* out) {
+  return {name, true, [out](const char* v) {
+            *out = msa::util::split(v, ',');
+            return true;
+          }};
+}
+
+/// A comma-separated list of finite non-negative reals
+/// (--delays/--scrubbers).
+Flag doubles_flag(const char* argv0, const char* name,
+                  std::vector<double>* out) {
+  return {name, true, [=](const char* v) {
+            out->clear();
+            for (const auto& piece : msa::util::split(v, ',')) {
+              out->push_back(parse_double(argv0, name, piece));
+            }
+            return true;
+          }};
+}
+
+/// Passes `ok` through, first saying what `flag` accepts when it is false.
+bool check_choice(bool ok, const char* flag, const char* choices,
+                  const char* value) {
+  if (!ok) {
+    std::fprintf(stderr, "%s wants %s (got '%s')\n", flag, choices, value);
+  }
+  return ok;
+}
+
+Flag format_flag(OutputFormat* format) {
+  return {"--format", true,
+          [format](const char* v) { return parse_format(v, format); }};
+}
+
+/// "--cells AXIS=V1[,V2...]"; repeats AND together.
+Flag cells_flag(msa::persist::CellFilter* filter) {
+  return {"--cells", true, [filter](const char* v) {
+            try {
+              filter->clauses.push_back(
+                  msa::persist::CellFilter::parse_clause(v));
+            } catch (const std::invalid_argument& e) {
+              std::fprintf(stderr, "--cells: %s\n", e.what());
+              return false;
+            }
+            return true;
+          }};
+}
+
+/// The argv loop every subcommand parses through. A flag takes the next
+/// argument as its value whatever it looks like; an argument not starting
+/// with '-' is a positional, collected into `positionals`, or a usage
+/// error where the subcommand takes none (null). Returns false on any
+/// usage error: an unknown flag, a missing value, or a rejected value.
+bool parse_flags(int argc, char** argv, const std::vector<Flag>& table,
+                 std::vector<std::string>* positionals) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      if (positionals == nullptr) return false;
+      positionals->emplace_back(arg);
+      continue;
+    }
+    const auto flag =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Flag& f) { return arg == f.name; });
+    if (flag == table.end()) return false;
+    const char* value = nullptr;
+    if (flag->takes_value) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "%s wants a value\n", flag->name);
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (!flag->apply(value)) return false;
+  }
+  return true;
+}
+
+/// Writes `content` to `path`, saying so on stderr when that fails.
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-                  content.size();
-  return std::fclose(f) == 0 && ok;
+  const bool ok = f != nullptr && std::fwrite(content.data(), 1,
+                                              content.size(), f) ==
+                                      content.size();
+  if (f != nullptr && std::fclose(f) == 0 && ok) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
+/// Writes the report to whichever of --csv/--json were given.
+bool write_report_files(const msa::campaign::SweepReport& report,
+                        const std::string& csv_path,
+                        const std::string& json_path) {
+  return (csv_path.empty() || write_file(csv_path, report.to_csv())) &&
+         (json_path.empty() || write_file(json_path, report.to_json()));
 }
 
 /// Emits the report as CSV (stdout or --csv) and optional JSON.
 int emit_report(const msa::campaign::SweepReport& report,
                 const std::string& csv_path, const std::string& json_path,
                 bool quiet) {
-  const std::string csv = report.to_csv();
-  if (csv_path.empty()) {
-    std::fputs(csv.c_str(), stdout);
-  } else if (!write_file(csv_path, csv)) {
-    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-    return 1;
-  }
-  if (!json_path.empty() && !write_file(json_path, report.to_json())) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
+  if (csv_path.empty()) std::fputs(report.to_csv().c_str(), stdout);
+  if (!write_report_files(report, csv_path, json_path)) return 1;
   if (!quiet) {
     std::fprintf(stderr,
                  "[campaign] %zu trials: %zu full successes, %zu denials\n",
@@ -344,53 +466,57 @@ int emit_report(const msa::campaign::SweepReport& report,
   return 0;
 }
 
+/// Prints a stats or diff report to stdout in `format`.
+template <typename Report>
+void print_report(const Report& report, OutputFormat format) {
+  switch (format) {
+    case OutputFormat::kText:
+      std::fputs(report.to_text().c_str(), stdout);
+      break;
+    case OutputFormat::kCsv:
+      std::fputs(report.to_csv().c_str(), stdout);
+      break;
+    case OutputFormat::kJson:
+      std::fputs(report.to_json().c_str(), stdout);
+      std::fputc('\n', stdout);
+      break;
+  }
+}
+
+void warn_torn_tail(const msa::persist::SweepData& data,
+                    const std::string& what) {
+  if (!data.truncated_tail) return;
+  std::fprintf(stderr,
+               "[campaign] warning: %s had a torn tail (crashed writer); its "
+               "unflushed records were skipped\n",
+               what.c_str());
+}
+
 int run_merge(const char* argv0, int argc, char** argv) {
   bool quiet = false;
   std::string csv_path;
   std::string json_path;
   std::string workers_dir;
   std::vector<std::string> stores;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--csv") {
-      const char* v = next();
-      if (!v) return usage(argv0);
-      csv_path = v;
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return usage(argv0);
-      json_path = v;
-    } else if (arg == "--workers-dir") {
-      const char* v = next();
-      if (!v) return usage(argv0);
-      workers_dir = v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv0);
-    } else {
-      stores.push_back(arg);
-    }
+  if (!parse_flags(argc, argv,
+                   {text_flag("--csv", &csv_path),
+                    text_flag("--json", &json_path),
+                    text_flag("--workers-dir", &workers_dir),
+                    switch_flag("--quiet", &quiet)},
+                   &stores) ||
+      workers_dir.empty() == stores.empty()) {
+    return usage(argv0);
   }
-  if (workers_dir.empty() == stores.empty()) return usage(argv0);
 
   msa::campaign::SweepReport report;
   try {
-    if (!workers_dir.empty()) {
-      stores = worker_stores(workers_dir);
-      if (stores.empty()) {
-        std::fprintf(stderr, "merge failed: no *.store files in %s\n",
-                     workers_dir.c_str());
-        return 1;
-      }
-      // Worker stores may legally duplicate a cell (lease reclaimed,
-      // original worker resurrected); shard stores may not.
-      report = msa::persist::merge_worker_stores(stores);
-    } else {
+    // Worker stores may legally duplicate a cell (lease reclaimed,
+    // original worker resurrected); shard stores may not.
+    if (workers_dir.empty()) {
       report = msa::persist::merge_stores(stores);
+    } else {
+      report = msa::persist::merge_worker_stores({workers_dir});
+      stores = msa::persist::list_store_files(workers_dir);  // for the count
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "merge failed: %s\n", e.what());
@@ -408,51 +534,20 @@ int run_stats(const char* argv0, int argc, char** argv) {
   std::string workers_dir;
   std::vector<std::string> stores;
   msa::persist::CellFilter filter;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--workers-dir") {
-      const char* v = next();
-      if (!v) return usage(argv0);
-      workers_dir = v;
-    } else if (arg == "--format") {
-      const char* v = next();
-      if (!v || !parse_format(v, &format)) return usage(argv0);
-    } else if (arg == "--cells") {
-      const char* v = next();
-      if (!v || !parse_cells_clause(v, &filter)) return usage(argv0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv0);
-    } else {
-      stores.push_back(arg);
-    }
+  if (!parse_flags(argc, argv,
+                   {text_flag("--workers-dir", &workers_dir),
+                    format_flag(&format), cells_flag(&filter)},
+                   &stores) ||
+      workers_dir.empty() == stores.empty()) {
+    return usage(argv0);
   }
-  if (workers_dir.empty() == stores.empty()) return usage(argv0);
+  if (!workers_dir.empty()) stores = {workers_dir};
 
   try {
-    if (!workers_dir.empty()) {
-      stores = worker_stores(workers_dir);
-      if (stores.empty()) {
-        std::fprintf(stderr, "stats failed: no *.store files in %s\n",
-                     workers_dir.c_str());
-        return 1;
-      }
-    }
     const msa::persist::SweepData data =
         msa::persist::load_sweep(stores, filter);
-    const msa::campaign::StatsReport report = msa::campaign::analyze_sweep(data);
-    const std::string out = format == OutputFormat::kText ? report.to_text()
-                            : format == OutputFormat::kCsv ? report.to_csv()
-                                                           : report.to_json();
-    std::fputs(out.c_str(), stdout);
-    if (format == OutputFormat::kJson) std::fputc('\n', stdout);
-    if (data.truncated_tail) {
-      std::fprintf(stderr,
-                   "[campaign] warning: a store had a torn tail (crashed "
-                   "writer); its unflushed records were skipped\n");
-    }
+    print_report(msa::campaign::analyze_sweep(data), format);
+    warn_torn_tail(data, "a store");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "stats failed: %s\n", e.what());
     return 1;
@@ -467,66 +562,54 @@ int run_diff(const char* argv0, int argc, char** argv) {
   msa::campaign::GateSpec spec;
   msa::persist::CellFilter filter;
   std::vector<std::string> sides;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--format") {
-      const char* v = next();
-      if (!v || !parse_format(v, &format)) return usage(argv0);
-    } else if (arg == "--cells") {
-      const char* v = next();
-      if (!v || !parse_cells_clause(v, &filter)) return usage(argv0);
-    } else if (arg == "--exit-on-significant") {
-      gate_enabled = true;
-    } else if (arg == "--metric") {
-      const char* v = next();
-      gate_flag_seen = true;
-      if (!v || !msa::campaign::parse_diff_metric(v, &spec.metric)) {
-        std::fprintf(stderr,
-                     "--metric wants success_rate|denial|psnr_p50 (got '%s')\n",
-                     v ? v : "");
-        return usage(argv0);
-      }
-    } else if (arg == "--direction") {
-      const char* v = next();
-      gate_flag_seen = true;
-      if (!v || !msa::campaign::parse_gate_direction(v, &spec.direction)) {
-        std::fprintf(stderr,
-                     "--direction wants regress|improve|any (got '%s')\n",
-                     v ? v : "");
-        return usage(argv0);
-      }
-    } else if (arg == "--alpha") {
-      const char* v = next();
-      gate_flag_seen = true;
-      if (!v) return usage(argv0);
-      // A significance level is strictly inside (0,1): 0 can never trip
-      // and 1 always trips, both configuration mistakes.
-      char* end = nullptr;
-      spec.alpha = std::strtod(v, &end);
-      if (*v == '\0' || *end != '\0' || !std::isfinite(spec.alpha) ||
-          spec.alpha <= 0.0 || spec.alpha >= 1.0) {
-        bad_number(argv0, "--alpha", v);
-      }
-    } else if (arg == "--min-effect") {
-      const char* v = next();
-      gate_flag_seen = true;
-      if (!v) return usage(argv0);
-      spec.min_effect = parse_double(argv0, "--min-effect", v);
-    } else if (arg == "--permutations") {
-      const char* v = next();
-      gate_flag_seen = true;
-      if (!v) return usage(argv0);
-      spec.iterations = parse_positive(argv0, "--permutations", v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv0);
-    } else {
-      sides.push_back(arg);
-    }
+  // The gate-tuning flags: each one needs --exit-on-significant.
+  const auto gate_flag = [&](const char* name, auto apply) {
+    return Flag{name, true, [&gate_flag_seen, apply](const char* v) {
+                  gate_flag_seen = true;
+                  return apply(v);
+                }};
+  };
+  const std::vector<Flag> table{
+      format_flag(&format),
+      cells_flag(&filter),
+      switch_flag("--exit-on-significant", &gate_enabled),
+      gate_flag("--metric",
+                [&](const char* v) {
+                  return check_choice(
+                      msa::campaign::parse_diff_metric(v, &spec.metric),
+                      "--metric", "success_rate|denial|psnr_p50", v);
+                }),
+      gate_flag("--direction",
+                [&](const char* v) {
+                  return check_choice(
+                      msa::campaign::parse_gate_direction(v, &spec.direction),
+                      "--direction", "regress|improve|any", v);
+                }),
+      gate_flag("--alpha",
+                [&](const char* v) {
+                  // A significance level is strictly inside (0,1): 0 can
+                  // never trip and 1 always trips, both configuration
+                  // mistakes.
+                  spec.alpha = parse_double(argv0, "--alpha", v);
+                  if (spec.alpha <= 0.0 || spec.alpha >= 1.0) {
+                    bad_number(argv0, "--alpha", v);
+                  }
+                  return true;
+                }),
+      gate_flag("--min-effect",
+                [&](const char* v) {
+                  spec.min_effect = parse_double(argv0, "--min-effect", v);
+                  return true;
+                }),
+      gate_flag("--permutations",
+                [&](const char* v) {
+                  spec.iterations = parse_positive(argv0, "--permutations", v);
+                  return true;
+                }),
+  };
+  if (!parse_flags(argc, argv, table, &sides) || sides.size() != 2) {
+    return usage(argv0);
   }
-  if (sides.size() != 2) return usage(argv0);
   if (gate_flag_seen && !gate_enabled) {
     std::fprintf(stderr,
                  "--metric/--direction/--alpha/--min-effect/--permutations "
@@ -536,24 +619,14 @@ int run_diff(const char* argv0, int argc, char** argv) {
 
   try {
     const msa::persist::SweepData a =
-        msa::persist::load_sweep_path(sides[0], filter);
+        msa::persist::load_sweep({sides[0]}, filter);
     const msa::persist::SweepData b =
-        msa::persist::load_sweep_path(sides[1], filter);
-    for (std::size_t side = 0; side < 2; ++side) {
-      if ((side == 0 ? a : b).truncated_tail) {
-        std::fprintf(stderr,
-                     "[campaign] warning: %s had a torn tail (crashed "
-                     "writer); its unflushed records were skipped\n",
-                     sides[side].c_str());
-      }
-    }
+        msa::persist::load_sweep({sides[1]}, filter);
+    warn_torn_tail(a, sides[0]);
+    warn_torn_tail(b, sides[1]);
     const msa::campaign::DiffReport report = msa::campaign::diff_sweeps(
         msa::campaign::analyze_sweep(a), msa::campaign::analyze_sweep(b));
-    const std::string out = format == OutputFormat::kText ? report.to_text()
-                            : format == OutputFormat::kCsv ? report.to_csv()
-                                                           : report.to_json();
-    std::fputs(out.c_str(), stdout);
-    if (format == OutputFormat::kJson) std::fputc('\n', stdout);
+    print_report(report, format);
     if (gate_enabled) {
       const msa::campaign::GateResult gate = msa::campaign::evaluate_gate(
           report, spec,
@@ -572,19 +645,14 @@ int run_diff(const char* argv0, int argc, char** argv) {
 int run_compact(const char* argv0, int argc, char** argv) {
   msa::persist::CompactOptions options;
   std::vector<std::string> stores;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-level-bytes") {
-      const char* v = i + 1 < argc ? argv[++i] : nullptr;
-      if (!v) return usage(argv0);
-      options.max_level_bytes = parse_u64(argv0, "--max-level-bytes", v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv0);
-    } else {
-      stores.push_back(arg);
-    }
+  const Flag max_level_bytes{"--max-level-bytes", true, [&](const char* v) {
+                               options.max_level_bytes =
+                                   parse_u64(argv0, "--max-level-bytes", v);
+                               return true;
+                             }};
+  if (!parse_flags(argc, argv, {max_level_bytes}, &stores) || stores.empty()) {
+    return usage(argv0);
   }
-  if (stores.empty()) return usage(argv0);
 
   for (const std::string& path : stores) {
     try {
@@ -615,27 +683,12 @@ int run_progress(const char* argv0, int argc, char** argv) {
   std::string workers_dir;
   bool once = false;
   unsigned interval_ms = 1000;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--workers-dir") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--workers-dir wants a directory\n");
-        return usage(argv0);
-      }
-      workers_dir = v;
-    } else if (arg == "--once") {
-      once = true;
-    } else if (arg == "--interval-ms") {
-      const char* v = next();
-      if (!v) return usage(argv0);
-      interval_ms = parse_positive(argv0, "--interval-ms", v);
-    } else {
-      return usage(argv0);
-    }
+  if (!parse_flags(argc, argv,
+                   {text_flag("--workers-dir", &workers_dir),
+                    switch_flag("--once", &once),
+                    positive_flag(argv0, "--interval-ms", &interval_ms)},
+                   nullptr)) {
+    return usage(argv0);
   }
   if (workers_dir.empty()) {
     std::fprintf(stderr, "progress wants --workers-dir DIR\n");
@@ -694,8 +747,7 @@ int run_progress(const char* argv0, int argc, char** argv) {
 /// The sweep driver behind both the default invocation and the `metrics`
 /// subcommand (`metrics_mode` swaps the stdout report CSV for a
 /// metrics-registry snapshot; --csv/--json still write the report).
-/// argv[0] is the program name; flags start at argv[1].
-int run_sweep(int argc, char** argv, bool metrics_mode) {
+int run_sweep(const char* argv0, int argc, char** argv, bool metrics_mode) {
   using namespace msa;
 
   OutputFormat metrics_format = OutputFormat::kText;
@@ -724,161 +776,69 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
   std::vector<double> scrubbers{0.0, 4.0 * 1024 * 1024};
   // --axis occurrences, validated at parse time, applied to the grid
   // after the legacy flags (so `--axis delay_s=...` overrides --delays).
-  std::vector<std::pair<std::string, std::vector<campaign::AxisValue>>>
-      axis_flags;
+  AxisFlags axis_flags;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      threads = parse_positive(argv[0], "--threads", v);
-    } else if (arg == "--trials") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      trials = parse_positive(argv[0], "--trials", v);
-    } else if (arg == "--defenses") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      defenses = util::split(v, ',');
-    } else if (arg == "--models") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      models = util::split(v, ',');
-    } else if (arg == "--delays") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      delays = parse_doubles(argv[0], "--delays", v);
-    } else if (arg == "--scrubbers") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      scrubbers = parse_doubles(argv[0], "--scrubbers", v);
-    } else if (arg == "--axis") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      const std::string spec = v;
-      const auto eq = spec.find('=');
-      if (eq == 0 || eq == std::string::npos || eq + 1 == spec.size()) {
-        std::fprintf(stderr, "--axis wants NAME=v1,v2,... (got '%s')\n",
-                     spec.c_str());
-        return usage(argv[0]);
-      }
-      const std::string name = spec.substr(0, eq);
-      const campaign::AxisDescriptor* axis = campaign::find_axis(name);
-      if (axis == nullptr) {
-        std::fprintf(stderr,
-                     "--axis: unknown axis '%s' (list the registry with "
-                     "`%s axes`)\n",
-                     name.c_str(), argv[0]);
-        return usage(argv[0]);
-      }
-      std::vector<campaign::AxisValue> values;
-      for (const auto& piece : util::split(spec.substr(eq + 1), ',')) {
-        try {
-          values.push_back(campaign::parse_axis_value(*axis, piece));
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "--axis: %s\n", e.what());
-          return usage(argv[0]);
-        }
-        // Catch duplicates here for a clean exit 2; GridBuilder would
-        // reject them at build() time (exit 1) otherwise.
-        for (std::size_t j = 0; j + 1 < values.size(); ++j) {
-          if (values[j] == values.back()) {
-            std::fprintf(stderr, "--axis: axis '%s' repeats value '%s'\n",
-                         name.c_str(), values.back().label().c_str());
-            return usage(argv[0]);
-          }
-        }
-      }
-      axis_flags.emplace_back(name, std::move(values));
-    } else if (arg == "--store") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      store_path = v;
-    } else if (arg == "--workers-dir") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      workers_dir = v;
-    } else if (arg == "--worker-id") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      worker_id = v;
-    } else if (arg == "--expiry-scans") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      expiry_scans = parse_positive(argv[0], "--expiry-scans", v);
-    } else if (arg == "--idle-backoff-ms") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
+  std::vector<Flag> table{
+      positive_flag(argv0, "--threads", &threads),
+      positive_flag(argv0, "--trials", &trials),
+      list_flag("--defenses", &defenses),
+      list_flag("--models", &models),
+      doubles_flag(argv0, "--delays", &delays),
+      doubles_flag(argv0, "--scrubbers", &scrubbers),
+      {"--axis", true,
+       [&](const char* v) { return parse_axis(argv0, v, &axis_flags); }},
+      text_flag("--store", &store_path),
+      text_flag("--workers-dir", &workers_dir),
+      text_flag("--worker-id", &worker_id),
+      positive_flag(argv0, "--expiry-scans", &expiry_scans),
       // Zero would busy-spin the endgame AND shrink the lease-expiry
       // window to ~nothing (mass-stealing live peers' cells).
-      idle_backoff_ms = parse_positive(argv[0], "--idle-backoff-ms", v);
-    } else if (arg == "--fsync-every") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      fsync_every = parse_positive(argv[0], "--fsync-every", v);
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--no-profile-cache") {
-      profile_cache = false;
-    } else if (arg == "--shard") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      parse_shard(argv[0], v, &shard_index, &shard_count);
-    } else if (arg == "--cell-budget") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cell_budget = parse_positive(argv[0], "--cell-budget", v);
-    } else if (arg == "--csv") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      csv_path = v;
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      json_path = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--trace-out wants a file path\n");
-        return usage(argv[0]);
-      }
-      trace_out = v;
-    } else if (metrics_mode && arg == "--format") {
-      const char* v = next();
-      if (!v || !parse_format(v, &metrics_format)) {
-        std::fprintf(stderr, "metrics --format wants text|csv|json (got '%s')\n",
-                     v ? v : "");
-        return usage(argv[0]);
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
+      positive_flag(argv0, "--idle-backoff-ms", &idle_backoff_ms),
+      positive_flag(argv0, "--fsync-every", &fsync_every),
+      switch_flag("--resume", &resume),
+      {"--no-profile-cache", false,
+       [&](const char*) {
+         profile_cache = false;
+         return true;
+       }},
+      {"--shard", true,
+       [&](const char* v) {
+         parse_shard(argv0, v, &shard_index, &shard_count);
+         return true;
+       }},
+      positive_flag(argv0, "--cell-budget", &cell_budget),
+      text_flag("--csv", &csv_path),
+      text_flag("--json", &json_path),
+      text_flag("--trace-out", &trace_out),
+      switch_flag("--quiet", &quiet),
+  };
+  if (metrics_mode) {
+    table.push_back({"--format", true, [&](const char* v) {
+                       return check_choice(parse_format(v, &metrics_format),
+                                           "metrics --format",
+                                           "text|csv|json", v);
+                     }});
   }
+  if (!parse_flags(argc, argv, table, nullptr)) return usage(argv0);
   if (store_path.empty() && (resume || cell_budget != 0)) {
     std::fprintf(stderr, "--resume/--cell-budget require --store\n");
-    return usage(argv[0]);
+    return usage(argv0);
   }
   if (workers_dir.empty() != worker_id.empty()) {
     std::fprintf(stderr, "--workers-dir and --worker-id go together\n");
-    return usage(argv[0]);
+    return usage(argv0);
   }
   if (!workers_dir.empty() &&
       (!store_path.empty() || resume || cell_budget != 0 || shard_count > 1)) {
     std::fprintf(stderr,
                  "--workers-dir (work-stealing) excludes "
                  "--store/--resume/--shard/--cell-budget\n");
-    return usage(argv[0]);
+    return usage(argv0);
   }
   if (!worker_id.empty() &&
       !persist::LeaseScheduler::valid_worker_id(worker_id)) {
     std::fprintf(stderr, "--worker-id must match [A-Za-z0-9_-]+\n");
-    return usage(argv[0]);
+    return usage(argv0);
   }
 
   // Recording starts before the runner exists so every pool thread's
@@ -911,6 +871,14 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
   campaign::SweepReport report;
   std::size_t shard_cells = 0;
   std::size_t completed = 0;
+  persist::StoreManifest manifest;
+  manifest.grid_fingerprint = grid.fingerprint();
+  manifest.grid_cells = grid.full_size();
+  manifest.trials_per_cell = trials;
+  manifest.trial_salt = options.trial_salt;
+  manifest.shard_index = shard_index;
+  manifest.shard_count = shard_count;
+  manifest.axes = grid.axis_schema();
   try {
     campaign::CampaignRunner runner{options};
     shard_cells = grid.size();
@@ -926,12 +894,6 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
       // results into this worker's own store there, and exit only when
       // the WHOLE grid is complete — at which point the merged report can
       // be emitted locally (every worker computes identical bytes).
-      persist::StoreManifest manifest;
-      manifest.grid_fingerprint = grid.fingerprint();
-      manifest.grid_cells = grid.full_size();
-      manifest.trials_per_cell = trials;
-      manifest.trial_salt = options.trial_salt;
-      manifest.axes = grid.axis_schema();
       std::filesystem::create_directories(workers_dir);
       persist::CampaignStore store{
           persist::LeaseScheduler::store_path(workers_dir, worker_id),
@@ -960,20 +922,12 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
                      static_cast<unsigned long long>(t.scans),
                      store.completed_count());
       }
-      report = persist::merge_worker_stores(worker_stores(workers_dir));
+      report = persist::merge_worker_stores({workers_dir});
       completed = shard_cells;
     } else if (store_path.empty()) {
       report = runner.run(grid);
       completed = shard_cells;
     } else {
-      persist::StoreManifest manifest;
-      manifest.grid_fingerprint = grid.fingerprint();
-      manifest.grid_cells = grid.full_size();
-      manifest.trials_per_cell = trials;
-      manifest.trial_salt = options.trial_salt;
-      manifest.shard_index = shard_index;
-      manifest.shard_count = shard_count;
-      manifest.axes = grid.axis_schema();
       persist::CampaignStore store{store_path, manifest,
                                    resume
                                        ? persist::CampaignStore::Mode::kResume
@@ -1005,9 +959,7 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
 
   // The trace is written even when the cell budget cuts the sweep short:
   // a bounded invocation's spans are exactly what a CI drill inspects.
-  if (!trace_out.empty() &&
-      !write_file(trace_out, obs::Trace::chrome_json())) {
-    std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+  if (!trace_out.empty() && !write_file(trace_out, obs::Trace::chrome_json())) {
     return 1;
   }
 
@@ -1019,52 +971,36 @@ int run_sweep(int argc, char** argv, bool metrics_mode) {
     return 3;
   }
   if (metrics_mode) {
-    if (!csv_path.empty() && !write_file(csv_path, report.to_csv())) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 1;
-    }
-    if (!json_path.empty() && !write_file(json_path, report.to_json())) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    const obs::MetricsFormat fmt =
-        metrics_format == OutputFormat::kText  ? obs::MetricsFormat::kText
-        : metrics_format == OutputFormat::kCsv ? obs::MetricsFormat::kCsv
-                                               : obs::MetricsFormat::kJson;
-    std::fputs(obs::render_metrics(fmt).c_str(), stdout);
+    if (!write_report_files(report, csv_path, json_path)) return 1;
+    std::fputs(obs::render_metrics(metrics_format).c_str(), stdout);
     return 0;
   }
   return emit_report(report, csv_path, json_path, quiet);
 }
 
+int run_metrics(const char* argv0, int argc, char** argv) {
+  return run_sweep(argv0, argc, argv, true);
+}
+
+/// Subcommands by their first argument; without one, argv is sweep flags.
+struct Subcommand {
+  std::string_view name;
+  int (*run)(const char* argv0, int argc, char** argv);
+};
+constexpr Subcommand kSubcommands[] = {
+    {"merge", run_merge},       {"stats", run_stats},
+    {"diff", run_diff},         {"compact", run_compact},
+    {"progress", run_progress}, {"axes", run_axes},
+    {"metrics", run_metrics},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "merge") == 0) {
-    return run_merge(argv[0], argc - 2, argv + 2);
+  for (const Subcommand& sub : kSubcommands) {
+    if (argc > 1 && argv[1] == sub.name) {
+      return sub.run(argv[0], argc - 2, argv + 2);
+    }
   }
-  if (argc > 1 && std::strcmp(argv[1], "stats") == 0) {
-    return run_stats(argv[0], argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "diff") == 0) {
-    return run_diff(argv[0], argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "compact") == 0) {
-    return run_compact(argv[0], argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "progress") == 0) {
-    return run_progress(argv[0], argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "axes") == 0) {
-    return argc == 2 ? run_axes() : usage(argv[0]);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "metrics") == 0) {
-    // Reuse the sweep parser with the subcommand word spliced out, so
-    // `metrics` accepts every sweep flag unchanged.
-    std::vector<char*> shifted;
-    shifted.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) shifted.push_back(argv[i]);
-    return run_sweep(static_cast<int>(shifted.size()), shifted.data(), true);
-  }
-  return run_sweep(argc, argv, false);
+  return run_sweep(argv[0], argc - 1, argv + 1, false);
 }

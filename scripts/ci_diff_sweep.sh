@@ -200,4 +200,61 @@ for bad in nan inf -1 -0.5 1e999; do
   fi
 done
 
+# --- usage errors: each exits 2 before reading or writing anything ----
+expect_usage() {
+  local rc=0
+  "$BIN" "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "campaign_sweep $* exited $rc, expected usage error 2" >&2
+    exit 1
+  fi
+}
+# Every value-taking flag given as the last argument, with no value.
+for flag in --threads --trials --defenses --models --delays --scrubbers \
+            --axis --store --workers-dir --worker-id --expiry-scans \
+            --idle-backoff-ms --fsync-every --shard --cell-budget --csv \
+            --json --trace-out; do
+  expect_usage "$flag"
+  expect_usage metrics "$flag"
+done
+expect_usage metrics --format
+for flag in --csv --json --workers-dir; do
+  expect_usage merge "$flag"
+done
+for flag in --format --cells --workers-dir; do
+  expect_usage stats "$flag"
+done
+for flag in --format --cells --metric --direction --alpha --min-effect \
+            --permutations; do
+  expect_usage diff "$flag"
+done
+expect_usage compact --max-level-bytes
+for flag in --workers-dir --interval-ms; do
+  expect_usage progress "$flag"
+done
+# An unknown flag, for the sweep and for every subcommand.
+expect_usage --no-such-flag
+for sub in metrics merge stats diff compact progress axes; do
+  expect_usage "$sub" --no-such-flag
+done
+# merge/stats take --workers-dir or STORE..., exactly one of the two.
+for sub in merge stats; do
+  expect_usage "$sub"
+  expect_usage "$sub" --workers-dir "$tmp/shards" "$tmp/a.store"
+done
+expect_usage diff "$tmp/a.store"
+expect_usage diff "$tmp/a.store" "$tmp/a.store" "$tmp/a.store"
+expect_usage progress
+expect_usage progress --once
+expect_usage compact
+expect_usage compact --max-level-bytes 4096
+expect_usage axes extra
+expect_usage --workers-dir "$tmp/wd" --quiet
+expect_usage --worker-id w0 --quiet
+expect_usage metrics --format xml
+if [ -e "$tmp/wd" ]; then
+  echo "a usage error created the workers dir" >&2
+  exit 1
+fi
+
 echo "stats/diff structured output validates; axis-aligned diff is exact"

@@ -1,5 +1,5 @@
 // Store-backed sweep analysis: distributional statistics computed from
-// the per-trial record stream (persist::read_store / load_sweep), not
+// the per-trial record stream (persist::load_sweep), not
 // from the per-cell means the report carries. This is the `campaign_sweep
 // stats` subcommand's engine — percentiles need every trial, which only
 // the store has. All output is deterministic: cells ascend by global

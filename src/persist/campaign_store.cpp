@@ -64,18 +64,34 @@ StoreManifest decode_store_manifest(std::span<const std::uint8_t> payload) {
   m.trial_salt = r.u64();
   m.shard_index = r.u32();
   m.shard_count = r.u32();
+  if (m.shard_index >= m.shard_count) {
+    throw std::runtime_error("persist: store manifest shard " +
+                             std::to_string(m.shard_index) + "/" +
+                             std::to_string(m.shard_count) + " out of range");
+  }
   if (version == 1) {
     // v1 manifests end here; the four-axis schema was implicit.
     m.axes = legacy_axis_schema();
     return m;
   }
-  const std::uint64_t axes = r.varint();
+  // Every axis and every value takes at least one byte, so a count
+  // beyond the bytes left is damage: reject it before it sizes a reserve.
+  const auto checked_count = [&r](const char* what) {
+    const std::uint64_t count = r.varint();
+    if (count > r.remaining()) {
+      throw std::runtime_error("persist: store manifest " + std::string{what} +
+                               " count " + std::to_string(count) +
+                               " exceeds its payload");
+    }
+    return count;
+  };
+  const std::uint64_t axes = checked_count("axis");
   m.axes.reserve(axes);
   for (std::uint64_t i = 0; i < axes; ++i) {
     campaign::AxisSpec spec;
     spec.name = r.str();
     spec.kind = static_cast<campaign::AxisKind>(r.u8());
-    const std::uint64_t values = r.varint();
+    const std::uint64_t values = checked_count("axis value");
     spec.values.reserve(values);
     for (std::uint64_t j = 0; j < values; ++j) {
       spec.values.push_back(decode_axis_value(r));
@@ -332,70 +348,28 @@ void CampaignStore::sync() {
   cells_since_sync_ = 0;
 }
 
-StoreContents read_store(const std::string& path) {
-  return StoreReader{path}.read_all();
-}
+namespace {
 
-campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
-  if (paths.empty()) {
-    throw std::runtime_error("persist: merge needs at least one store");
-  }
-
-  std::vector<StoreContents> stores;
-  stores.reserve(paths.size());
-  for (const std::string& path : paths) stores.push_back(read_store(path));
-
-  const StoreManifest& first = stores.front().manifest;
-  std::map<std::uint32_t, const std::string*> shards_seen;
-  std::map<std::uint64_t, campaign::CellStats> merged;
-  for (std::size_t i = 0; i < stores.size(); ++i) {
-    const StoreManifest& m = stores[i].manifest;
-    StoreManifest sweep_identity = m;
-    sweep_identity.shard_index = first.shard_index;
-    if (!(sweep_identity == first)) {
-      throw std::runtime_error(
-          "persist: store is from a different sweep: " + paths[i]);
-    }
-    if (m.shard_index >= m.shard_count) {
-      throw std::runtime_error("persist: shard index out of range: " +
-                               paths[i]);
-    }
-    const auto [it, inserted] = shards_seen.emplace(m.shard_index, &paths[i]);
-    if (!inserted) {
-      throw std::runtime_error("persist: duplicate shard " +
-                               std::to_string(m.shard_index) + ": " + paths[i] +
-                               " and " + *it->second);
-    }
-    for (campaign::CellStats& cell : stores[i].cells) {
-      if (cell.index >= m.grid_cells) {
-        throw std::runtime_error("persist: cell index beyond grid in " +
-                                 paths[i]);
-      }
-      const std::uint64_t index = cell.index;
-      if (!merged.emplace(index, std::move(cell)).second) {
-        throw std::runtime_error("persist: cell " + std::to_string(index) +
-                                 " reported by more than one store");
-      }
-    }
-  }
-
-  if (merged.size() != first.grid_cells) {
-    throw std::runtime_error(
-        "persist: merged stores cover " + std::to_string(merged.size()) +
-        " of " + std::to_string(first.grid_cells) +
-        " cells (incomplete shard? missing store?)");
-  }
-
-  campaign::SweepReport report;
-  report.cells.reserve(merged.size());
-  for (auto& [index, cell] : merged) report.cells.push_back(std::move(cell));
-  return report;
-}
-
-SweepData load_sweep(const std::vector<std::string>& paths,
-                     const CellFilter& filter) {
+/// load_sweep's body. When `stores` is given it receives the path and
+/// manifest of every store file read, in read order, for merge_stores'
+/// shard checks.
+SweepData load_stores(
+    const std::vector<std::string>& paths, const CellFilter& filter,
+    std::vector<std::pair<std::string, StoreManifest>>* stores) {
   if (paths.empty()) {
     throw std::runtime_error("persist: load_sweep needs at least one store");
+  }
+  std::vector<std::string> files;
+  for (const std::string& path : paths) {
+    if (!std::filesystem::is_directory(path)) {
+      files.push_back(path);
+      continue;
+    }
+    const std::vector<std::string> inside = list_store_files(path);
+    if (inside.empty()) {
+      throw std::runtime_error("persist: no *.store files in " + path);
+    }
+    files.insert(files.end(), inside.begin(), inside.end());
   }
 
   SweepData out;
@@ -410,8 +384,9 @@ SweepData load_sweep(const std::vector<std::string>& paths,
       trials;
 
   bool first = true;
-  for (const std::string& path : paths) {
+  for (const std::string& path : files) {
     StoreContents contents = StoreReader{path}.read_matching(filter);
+    if (stores != nullptr) stores->emplace_back(path, contents.manifest);
     if (first) {
       out.manifest = contents.manifest;
       first = false;
@@ -474,6 +449,53 @@ SweepData load_sweep(const std::vector<std::string>& paths,
   return out;
 }
 
+/// The report of a sweep whose cells cover the whole grid, in grid order;
+/// throws when any cell is missing.
+campaign::SweepReport full_grid_report(SweepData data) {
+  if (data.cells.size() != data.manifest.grid_cells) {
+    throw std::runtime_error(
+        "persist: stores cover " + std::to_string(data.cells.size()) +
+        " of " + std::to_string(data.manifest.grid_cells) +
+        " cells (incomplete shard, sweep still in flight, or missing "
+        "store?)");
+  }
+  campaign::SweepReport report;
+  report.cells = std::move(data.cells);
+  return report;
+}
+
+}  // namespace
+
+SweepData load_sweep(const std::vector<std::string>& paths,
+                     const CellFilter& filter) {
+  return load_stores(paths, filter, nullptr);
+}
+
+campaign::SweepReport merge_stores(const std::vector<std::string>& paths) {
+  std::vector<std::pair<std::string, StoreManifest>> stores;
+  SweepData data = load_stores(paths, CellFilter{}, &stores);
+  std::map<std::uint32_t, const std::string*> shards_seen;
+  for (const auto& [path, m] : stores) {
+    if (m.shard_count != data.manifest.shard_count) {
+      throw std::runtime_error(
+          "persist: store is from a different sweep (" +
+          describe_manifest_mismatch(m, data.manifest) + "): " + path);
+    }
+    const auto [it, inserted] = shards_seen.emplace(m.shard_index, &path);
+    if (!inserted) {
+      throw std::runtime_error("persist: duplicate shard " +
+                               std::to_string(m.shard_index) + ": " + path +
+                               " and " + *it->second);
+    }
+  }
+  if (data.duplicate_cells != 0) {
+    throw std::runtime_error(
+        "persist: " + std::to_string(data.duplicate_cells) +
+        " cell(s) reported by more than one store");
+  }
+  return full_grid_report(std::move(data));
+}
+
 StoreTailer::Counts StoreTailer::poll() {
   // Segment totals come from the levels manifest alone — no block
   // reads. A generation bump means a compaction replaced the segment
@@ -531,28 +553,8 @@ std::vector<std::string> list_store_files(const std::string& dir) {
   return stores;
 }
 
-SweepData load_sweep_path(const std::string& path, const CellFilter& filter) {
-  if (std::filesystem::is_directory(path)) {
-    const std::vector<std::string> stores = list_store_files(path);
-    if (stores.empty()) {
-      throw std::runtime_error("persist: no *.store files in " + path);
-    }
-    return load_sweep(stores, filter);
-  }
-  return load_sweep({path}, filter);
-}
-
 campaign::SweepReport merge_worker_stores(const std::vector<std::string>& paths) {
-  SweepData data = load_sweep(paths);
-  if (data.cells.size() != data.manifest.grid_cells) {
-    throw std::runtime_error(
-        "persist: worker stores cover " + std::to_string(data.cells.size()) +
-        " of " + std::to_string(data.manifest.grid_cells) +
-        " cells (sweep still in flight? missing store?)");
-  }
-  campaign::SweepReport report;
-  report.cells = std::move(data.cells);
-  return report;
+  return full_grid_report(load_sweep(paths));
 }
 
 namespace {

@@ -205,20 +205,12 @@ struct StoreContents {
   bool truncated_tail = false;
 };
 
-/// Loads everything readable from a store — log and, for a segmented
-/// store, its blocks — stopping cleanly at a torn log tail. Throws
-/// std::runtime_error for a missing/misframed file, a store with no
-/// manifest record, or a damaged segment/sidecar. (Convenience wrapper
-/// over StoreReader::read_all(); see persist/store_reader.h for the
-/// cell-range interface.)
-[[nodiscard]] StoreContents read_store(const std::string& path);
-
 /// Reassembles shard stores into the single-process sweep report, cells
-/// in grid order. Validates that every store belongs to the same sweep
-/// (equal fingerprint/grid/trials/salt/shard_count), shard indices are
-/// distinct, no cell is reported twice, and the union covers the full
-/// grid — throws std::runtime_error otherwise. A single complete
-/// unsharded store is the N=1 case.
+/// in grid order: load_sweep plus the static-shard checks. Every store
+/// must carry the same shard_count, shard indices must be distinct, no
+/// cell may appear in two stores, and the union must cover the full grid
+/// — throws std::runtime_error otherwise. A single complete unsharded
+/// store is the N=1 case.
 [[nodiscard]] campaign::SweepReport merge_stores(
     const std::vector<std::string>& paths);
 
@@ -240,6 +232,9 @@ struct SweepData {
   std::size_t duplicate_trials = 0;  ///< identical copies dropped
   bool truncated_tail = false;       ///< any store had a torn tail
 };
+/// A path that names a directory stands for every "*.store" file
+/// directly inside it (a lease-mode workers dir); a directory with none
+/// throws. Each read goes through StoreReader (persist/store_reader.h).
 /// When `filter` is non-empty only matching completed cells (and their
 /// trials) load — on a segmented store via the block index, on a flat
 /// store by scan-and-drop — so filtered flat and segmented views of the
@@ -280,17 +275,9 @@ class StoreTailer {
   Counts log_counts_;             ///< records tailed from the log
 };
 
-/// Every "*.store" file directly under `dir`, sorted by path — the
-/// worker-store enumeration shared by merge/stats/diff tooling.
+/// Every "*.store" file directly under `dir`, sorted by path — what a
+/// directory argument to load_sweep stands for.
 [[nodiscard]] std::vector<std::string> list_store_files(const std::string& dir);
-
-/// Loads one analysis input by path: a directory means "every *.store
-/// inside" (a lease-mode workers dir), anything else a single store
-/// file. Throws std::runtime_error when a directory holds no stores —
-/// and this is the loader `campaign_sweep diff` uses per side, so each
-/// side of a comparison can independently be a file or a directory.
-[[nodiscard]] SweepData load_sweep_path(const std::string& path,
-                                        const CellFilter& filter = {});
 
 /// Lease-mode merge: load_sweep over the worker stores plus the full-
 /// coverage check, yielding the report in grid order — byte-identical to

@@ -75,8 +75,8 @@ class StoreReader {
 
   /// The store restricted to cells matching `filter` (empty filter =
   /// everything, including orphan log trials — byte-equivalent to the
-  /// historical full read). Cells/trials sorted exactly like read_store:
-  /// ascending index, ascending (cell, trial).
+  /// historical full read). Cells ascend by index, trials by
+  /// (cell, trial).
   [[nodiscard]] StoreContents read_matching(const CellFilter& filter) const;
   [[nodiscard]] StoreContents read_all() const {
     return read_matching(CellFilter{});

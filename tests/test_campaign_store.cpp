@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/encoding.h"
 #include "persist/manifest.h"
+#include "persist/store_codec.h"
+#include "persist/store_reader.h"
 
 #include <filesystem>
 #include <fstream>
@@ -63,6 +66,17 @@ CampaignOptions make_options(unsigned threads, unsigned trials = 2) {
   options.trials_per_cell = trials;
   return options;
 }
+
+/// Expects `statement` to throw a std::runtime_error whose message
+/// contains `text`.
+#define EXPECT_THAT_ERROR(statement, text)                         \
+  try {                                                            \
+    statement;                                                     \
+    ADD_FAILURE() << #statement " did not throw";                  \
+  } catch (const std::runtime_error& e) {                          \
+    EXPECT_NE(std::string{e.what()}.find(text), std::string::npos) \
+        << e.what();                                               \
+  }
 
 StoreManifest manifest_for(const GridBuilder& grid,
                            const CampaignOptions& options,
@@ -159,7 +173,7 @@ TEST(CampaignStore, TrialStreamReconstructsCellAggregates) {
     (void)runner.run(grid, store);
   }
 
-  const StoreContents contents = read_store(path);
+  const StoreContents contents = StoreReader{path}.read_all();
   EXPECT_FALSE(contents.truncated_tail);
   ASSERT_EQ(contents.cells.size(), 8u);
   ASSERT_EQ(contents.trials.size(), 8u * 3u);
@@ -293,6 +307,51 @@ TEST(CampaignStore, ManifestMismatchAndModeErrors) {
   EXPECT_THROW((void)wrong_trials.run(grid, store), std::invalid_argument);
 }
 
+TEST(CampaignStore, ManifestDecoderBoundsCountsByPayload) {
+  // A v2 manifest prefix up to the axis count; every field is valid.
+  const auto prefix = [] {
+    ByteWriter w;
+    w.u32(kStoreFormatVersion);
+    w.u64(1);   // grid_fingerprint
+    w.u64(8);   // grid_cells
+    w.u32(2);   // trials_per_cell
+    w.u64(0);   // trial_salt
+    w.u32(0);   // shard_index
+    w.u32(1);   // shard_count
+    return w;
+  };
+  const auto expect_named_error = [](const ByteWriter& w) {
+    const std::vector<std::uint8_t> bytes{w.bytes().begin(), w.bytes().end()};
+    EXPECT_THAT_ERROR((void)decode_store_manifest(bytes),
+                      "persist: store manifest");
+  };
+  // 2^59 axes in a payload of a few bytes must not reach reserve().
+  ByteWriter huge_axes = prefix();
+  huge_axes.varint(std::uint64_t{1} << 59);
+  expect_named_error(huge_axes);
+  // Same for one axis claiming 2^59 values.
+  ByteWriter huge_values = prefix();
+  huge_values.varint(1);
+  huge_values.str("delay_s");
+  huge_values.u8(0);
+  huge_values.varint(std::uint64_t{1} << 59);
+  expect_named_error(huge_values);
+}
+
+TEST(CampaignStore, ManifestDecoderRejectsOutOfRangeShard) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(1, 2);
+  const StoreManifest ok = manifest_for(grid, options, 1, 2);
+  EXPECT_EQ(decode_store_manifest(encode_store_manifest(ok)), ok);
+  for (const auto& [index, count] :
+       {std::pair{7u, 0u}, std::pair{0u, 0u}, std::pair{2u, 2u}}) {
+    const std::vector<std::uint8_t> bytes =
+        encode_store_manifest(manifest_for(grid, options, index, count));
+    EXPECT_THROW((void)decode_store_manifest(bytes), std::runtime_error)
+        << index << "/" << count;
+  }
+}
+
 TEST(CampaignStore, CreateOrResumeTakesBothBranches) {
   const GridBuilder grid = small_grid();
   const CampaignOptions options = make_options(1, 1);
@@ -414,7 +473,7 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
                         CampaignStore::Mode::kResume};
     (void)resumer.run(grid, store);
   }
-  const StoreContents before = read_store(path);
+  const StoreContents before = StoreReader{path}.read_all();
   ASSERT_EQ(before.cells.size(), 8u);
 
   const CompactionResult result = compact_store(path);
@@ -425,10 +484,10 @@ TEST(CampaignStore, CompactionDropsSupersededRecords) {
   // dropped duplicates.)
   EXPECT_EQ(result.segments_written, 1u);
   EXPECT_EQ(result.segments_live, 1u);
-  EXPECT_EQ(read_store(path).format, kSegmentedStoreFormat);
+  EXPECT_EQ(StoreReader{path}.format_version(), kSegmentedStoreFormat);
 
   // Identical view after compaction, and still a valid mergeable store.
-  const StoreContents after = read_store(path);
+  const StoreContents after = StoreReader{path}.read_all();
   EXPECT_FALSE(after.truncated_tail);
   ASSERT_EQ(after.cells.size(), before.cells.size());
   ASSERT_EQ(after.trials.size(), before.trials.size());
@@ -459,12 +518,12 @@ TEST(CampaignStore, CompactionDropsOrphanTrialsAndTornTail) {
   // Tear the last cell's completion record mid-frame: its trials become
   // orphans and the file ends in garbage.
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
-  ASSERT_TRUE(read_store(path).truncated_tail);
+  ASSERT_TRUE(StoreReader{path}.truncated_tail());
 
   const CompactionResult result = compact_store(path);
   EXPECT_EQ(result.cells_dropped, 0u);
   EXPECT_EQ(result.trials_dropped, 2u);  // the incomplete cell's 2 trials
-  const StoreContents after = read_store(path);
+  const StoreContents after = StoreReader{path}.read_all();
   EXPECT_FALSE(after.truncated_tail);
   EXPECT_EQ(after.cells.size(), 7u);
   EXPECT_EQ(after.trials.size(), 14u);  // only completed cells' trials
@@ -536,6 +595,81 @@ TEST(CampaignStore, MergeRejectsDuplicateAndIncompleteShards) {
   // Same shard twice.
   EXPECT_THROW((void)merge_stores({path, path}), std::runtime_error);
   EXPECT_THROW((void)merge_stores({}), std::runtime_error);
+}
+
+/// Writes the `shard_index`/`shard_count` slice of `grid` to a fresh store.
+std::string write_shard(const char* name, const GridBuilder& grid,
+                        const CampaignOptions& options,
+                        std::uint32_t shard_index, std::uint32_t shard_count) {
+  GridBuilder shard = grid;
+  if (shard_count > 1) shard.shard(shard_index, shard_count);
+  const std::string path = tmp_store(name);
+  CampaignRunner runner{options};
+  CampaignStore store{path, manifest_for(shard, options, shard_index,
+                                         shard_count),
+                      CampaignStore::Mode::kCreate};
+  (void)runner.run(shard, store);
+  return path;
+}
+
+/// Every byte load_sweep hands back, in order.
+std::vector<std::vector<std::uint8_t>> sweep_bytes(const SweepData& data) {
+  std::vector<std::vector<std::uint8_t>> out{
+      encode_store_manifest(data.manifest)};
+  for (const CellStats& cell : data.cells) out.push_back(encode_cell(cell));
+  for (const TrialRecord& trial : data.trials) {
+    out.push_back(encode_trial(trial));
+  }
+  return out;
+}
+
+TEST(CampaignStore, LoadSweepReadsADirectoryAsTheStoresInside) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(2, 2);
+  const auto dir =
+      std::filesystem::temp_directory_path() / "msa_store_tests" / "load_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    const std::string name = "load_dir/s" + std::to_string(s) + ".store";
+    (void)write_shard(name.c_str(), grid, options, s, 2);
+  }
+  const std::vector<std::string> files = list_store_files(dir.string());
+  ASSERT_EQ(files.size(), 2u);
+  const SweepData by_dir = load_sweep({dir.string()});
+  EXPECT_EQ(sweep_bytes(by_dir), sweep_bytes(load_sweep(files)));
+  EXPECT_EQ(by_dir.cells.size(), 8u);
+  EXPECT_EQ(merge_stores({dir.string()}).to_csv(),
+            merge_stores(files).to_csv());
+}
+
+TEST(CampaignStore, EmptyDirectoryIsANamedError) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "msa_store_tests" / "empty_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_THAT_ERROR((void)load_sweep({dir.string()}),
+                    "persist: no *.store files in ");
+}
+
+TEST(CampaignStore, MergeRejectsShardsOfDifferentSplits) {
+  const GridBuilder grid = small_grid();
+  const CampaignOptions options = make_options(2, 1);
+  const std::string half = write_shard("split_0of2.store", grid, options, 0, 2);
+  const std::string third =
+      write_shard("split_1of3.store", grid, options, 1, 3);
+  EXPECT_THAT_ERROR((void)merge_stores({half, third}), "shard_count 3 != 2");
+  EXPECT_THAT_ERROR((void)merge_stores({third, half}), "shard_count 2 != 3");
+}
+
+TEST(CampaignStore, MergeRejectsStoresOfDifferentSweeps) {
+  const CampaignOptions options = make_options(2, 1);
+  GridBuilder other = small_grid();
+  other.attack_delays_s({0.0, 6.0});
+  const std::string a =
+      write_shard("sweep_a_0of2.store", small_grid(), options, 0, 2);
+  const std::string b = write_shard("sweep_b_1of2.store", other, options, 1, 2);
+  EXPECT_THAT_ERROR((void)merge_stores({a, b}), "different sweep");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // when a worker dies mid-sweep and its leases are reclaimed.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -91,15 +90,6 @@ void run_worker(const std::string& dir, const std::string& id,
   (void)runner.run(scheduler, store);
 }
 
-std::vector<std::string> stores_in(const std::string& dir) {
-  std::vector<std::string> out;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".store") out.push_back(entry.path().string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 TEST(LeaseSweep, StaticSourceMatchesVectorOverload) {
   // The refactor's no-regression pin: run(cells) and run(StaticCellSource)
   // are the same dispatch, and the CellSource entry point returns cells
@@ -131,7 +121,7 @@ TEST(LeaseSweep, ThreeWorkersMergeByteIdenticalToSingleProcess) {
     for (std::thread& t : workers) t.join();
   }
 
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_worker_stores({dir});
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
   EXPECT_EQ(merged.to_json(), golden.to_json());
 }
@@ -158,7 +148,7 @@ TEST(LeaseSweep, DeadWorkerLeasesAreReclaimedBySurvivor) {
 
   // The dead worker's store never materialized (it opened no store); the
   // survivor's store alone covers the grid.
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_worker_stores({dir});
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
 }
 
@@ -190,7 +180,7 @@ TEST(LeaseSweep, RestartedWorkerResumesAndFinishes) {
 
   // Second life, same id: resumes its own store, plans only the rest.
   run_worker(dir, "w0", grid, options, fast_expiry());
-  const SweepReport merged = persist::merge_worker_stores(stores_in(dir));
+  const SweepReport merged = persist::merge_worker_stores({dir});
   EXPECT_EQ(merged.to_csv(), golden.to_csv());
   EXPECT_EQ(merged.to_json(), golden.to_json());
 }

@@ -24,6 +24,7 @@
 #include "campaign/stats.h"
 #include "persist/campaign_store.h"
 #include "persist/manifest.h"
+#include "persist/store_reader.h"
 
 namespace msa::persist {
 namespace {
@@ -65,7 +66,8 @@ campaign::GridBuilder golden_grid() {
 }
 
 TEST(StoreCompat, V1StoreLoadsWithSynthesizedLegacySchema) {
-  const StoreContents contents = read_store(data_path("golden_v1_4axis.store"));
+  const StoreContents contents =
+      StoreReader{data_path("golden_v1_4axis.store")}.read_all();
   EXPECT_FALSE(contents.truncated_tail);
   EXPECT_EQ(contents.manifest.version, 1u);
   ASSERT_EQ(contents.manifest.axes.size(), 4u);
@@ -124,7 +126,7 @@ TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
     CampaignStore store{v2_path, manifest, CampaignStore::Mode::kCreate};
     (void)runner.run(grid, store);
   }
-  EXPECT_EQ(read_store(v2_path).manifest.version, kStoreFormatVersion);
+  EXPECT_EQ(StoreReader{v2_path}.manifest().version, kStoreFormatVersion);
 
   const campaign::StatsReport v1 = campaign::analyze_sweep(
       load_sweep({data_path("golden_v1_4axis.store")}));
@@ -175,7 +177,7 @@ TEST(StoreCompat, CompactionUpgradesV1ToCurrentFormat) {
   EXPECT_EQ(result.cells_dropped, 0u);
   EXPECT_EQ(result.trials_dropped, 0u);
 
-  const StoreContents upgraded = read_store(path);
+  const StoreContents upgraded = StoreReader{path}.read_all();
   EXPECT_EQ(upgraded.manifest.version, kStoreFormatVersion);
   EXPECT_EQ(upgraded.format, kSegmentedStoreFormat);
   ASSERT_EQ(upgraded.cells.size(), 4u);
