@@ -17,6 +17,9 @@
 #  - a shard-0 sweep compacted mid-campaign, then resumed with shard 1
 #    and compacted again under a generous level cap, keeps multiple
 #    live segments AND still renders the exact single-process stats.
+#  - a copy of that two-segment store whose first segment is swapped
+#    for a segment of the other sweep (side B) is refused by compact
+#    with a "different sweep" error, and no file of it changes.
 #  - a copy of the checked-in v1 golden store upgraded through
 #    compaction still emits the pre-refactor golden stats bytes, and a
 #    second compact of it is a no-op (bytes_before == bytes_after).
@@ -113,6 +116,30 @@ timeout "$SWEEP_TIMEOUT" "$BIN" stats --format csv "$tmp/tiered.store" \
   > "$tmp/tiered_stats.csv"
 cmp "$tmp/before/stats.csv" "$tmp/tiered_stats.csv"
 echo "tiered resume: 2 live segments, stats byte-identical to flat sweep"
+
+# --- foreign segment refused -------------------------------------------
+# Swap one of the tiered store's two segments for side B's (another
+# grid, so another identity). Compaction must refuse the store outright
+# — never merge the foreign cells under this store's identity — and
+# leave every file of it byte-for-byte as it was.
+mkdir "$tmp/foreign"
+cp "$tmp"/tiered.store* "$tmp/foreign/"
+foreign_segs=("$tmp"/foreign/tiered.store.g*.seg)
+[ "${#foreign_segs[@]}" -eq 2 ]
+b_segs=("$tmp"/seg_b.store.g*.seg)
+cp "${b_segs[0]}" "${foreign_segs[0]}"
+(cd "$tmp/foreign" && sha256sum tiered.store*) > "$tmp/foreign_before.sum"
+rc=0
+timeout "$SWEEP_TIMEOUT" "$BIN" compact "$tmp/foreign/tiered.store" \
+  2> "$tmp/foreign_compact.txt" || rc=$?
+if [ "$rc" -eq 0 ]; then
+  echo "compact accepted a segment from another sweep" >&2
+  exit 1
+fi
+grep -q "different sweep" "$tmp/foreign_compact.txt"
+(cd "$tmp/foreign" && sha256sum tiered.store*) > "$tmp/foreign_after.sum"
+cmp "$tmp/foreign_before.sum" "$tmp/foreign_after.sum"
+echo "foreign segment: compact refused it (exit $rc), store files unchanged"
 
 # --- v1 golden upgraded through compaction ----------------------------
 # The oldest store format on record must ride through the segmented

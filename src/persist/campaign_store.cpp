@@ -218,22 +218,13 @@ CampaignStore::CampaignStore(const std::string& path,
         }
         return usable;
       }()},
-      writer_{path, [&] {
-                if (!resuming_) return RecordWriter::Mode::kTruncate;
-                // One pass: validate manifest, reload completed cells,
-                // find the torn-tail truncation point — all before the
-                // writer opens (and without rejecting the file by
-                // mutating it first).
-                const std::uint64_t keep = scan_existing();
-                std::error_code ec;
-                std::filesystem::resize_file(path, keep, ec);
-                if (ec) {
-                  throw std::runtime_error(
-                      "persist: cannot truncate torn tail: " + path + ": " +
-                      ec.message());
-                }
-                return RecordWriter::Mode::kAppendClean;
-              }()} {
+      // One pass on resume: validate the manifest, reload completed cells
+      // and find the torn-tail cut — all before the writer opens, so a
+      // rejected file is never mutated.
+      writer_{path,
+              resuming_ ? RecordWriter::Mode::kAppend
+                        : RecordWriter::Mode::kTruncate,
+              resuming_ ? scan_existing() : 0} {
   if (!resuming_ || !manifest_on_disk_) {
     // Fresh store — or an existing file whose every record was torn off.
     writer_.append(kRecManifest, encode_store_manifest(manifest_));
@@ -256,9 +247,7 @@ std::uint64_t CampaignStore::scan_existing() {
             describe_manifest_mismatch(on_disk, manifest_) + "): " + path_);
       }
     } else if (rec->type == kRecCell || rec->type == kRecCellV2) {
-      campaign::CellStats cell = rec->type == kRecCellV2
-                                     ? decode_cell_v2(rec->payload)
-                                     : decode_cell_v1(rec->payload);
+      campaign::CellStats cell = decode_log_cell(*rec);
       const std::uint64_t index = cell.index;
       completed_[index] = std::move(cell);
     }
@@ -276,24 +265,11 @@ std::uint64_t CampaignStore::scan_existing() {
   // small cell blocks are read; resume never replays segment trial data,
   // so seeking to the incomplete cells costs O(completed cells), not
   // O(trials).
-  if (const std::optional<LevelsManifest> levels =
-          read_levels_manifest(path_)) {
-    if (!(levels->identity == manifest_)) {
-      throw std::runtime_error(
-          "persist: levels manifest belongs to a different sweep (" +
-          describe_manifest_mismatch(levels->identity, manifest_) +
-          "): " + path_);
-    }
-    for (const SegmentRef& ref : levels->segments) {
-      const SegmentReader segment{segment_path(path_, ref)};
-      if (!(segment.info().identity == manifest_)) {
-        throw std::runtime_error("persist: segment " + ref.file +
-                                 " belongs to a different sweep: " + path_);
-      }
-      for (campaign::CellStats& cell : segment.cells()) {
-        const std::uint64_t index = cell.index;
-        completed_.emplace(index, std::move(cell));
-      }
+  const SegmentTier tier = open_segment_tier(path_, manifest_);
+  for (const std::unique_ptr<SegmentReader>& segment : tier.segments) {
+    for (campaign::CellStats& cell : segment->cells()) {
+      const std::uint64_t index = cell.index;
+      completed_.emplace(index, std::move(cell));
     }
   }
   return reader.valid_bytes();
@@ -616,86 +592,25 @@ CompactionResult compact_store(const std::string& path,
                                const CompactOptions& options) {
   CompactionResult result;
 
-  // ---- Load the current state: sidecar + segments + raw log pass.
-  std::optional<LevelsManifest> levels = read_levels_manifest(path);
+  // ---- Load the current state: the log, then the segments its sidecar
+  // names (each checked against the log's identity).
+  LogReplay log = replay_log(path);
+  SegmentTier tier = open_segment_tier(path, log.manifest);
+  const StoreManifest& manifest = log.manifest;
+  const std::optional<LevelsManifest>& levels = tier.levels;
   std::vector<CompactUnit> units;
   std::uint64_t next_sequence = 0;
-  if (levels.has_value()) {
-    for (const SegmentRef& ref : levels->segments) {
-      CompactUnit unit;
-      unit.path = segment_path(path, ref);
-      unit.level = ref.level;
-      unit.sequence = ref.sequence;
-      unit.reader = std::make_unique<SegmentReader>(unit.path);
-      next_sequence = std::max(next_sequence, ref.sequence);
-      units.push_back(std::move(unit));
-    }
+  for (std::size_t i = 0; i < tier.segments.size(); ++i) {
+    const SegmentRef& ref = levels->segments[i];
+    CompactUnit unit;
+    unit.path = segment_path(path, ref);
+    unit.level = ref.level;
+    unit.sequence = ref.sequence;
+    unit.reader = std::move(tier.segments[i]);
+    next_sequence = std::max(next_sequence, ref.sequence);
+    units.push_back(std::move(unit));
   }
-
-  StoreManifest manifest;
-  bool saw_manifest = false;
-  CellMap log_cells;
-  TrialMap log_trials;
-  std::vector<Record> unknown;  // forward-compat: preserved verbatim
-  std::size_t trial_records = 0;
-  std::size_t cell_records = 0;
-  bool torn_tail = false;
-  {
-    RecordReader reader{path};
-    for (std::optional<Record> rec = reader.next(); rec.has_value();
-         rec = reader.next()) {
-      switch (rec->type) {
-        case kRecManifest: {
-          const StoreManifest m = decode_store_manifest(rec->payload);
-          if (saw_manifest && !(m == manifest)) {
-            throw std::runtime_error(
-                "persist: conflicting manifest records in " + path);
-          }
-          manifest = m;
-          saw_manifest = true;
-          break;
-        }
-        case kRecTrial: {
-          ++trial_records;
-          TrialRecord t = decode_trial(rec->payload);
-          log_trials[{t.cell_index, t.trial}] = std::move(t);
-          break;
-        }
-        case kRecCell: {
-          ++cell_records;
-          campaign::CellStats c = decode_cell_v1(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells[index] = std::move(c);
-          break;
-        }
-        case kRecCellV2: {
-          ++cell_records;
-          campaign::CellStats c = decode_cell_v2(rec->payload);
-          const std::uint64_t index = c.index;
-          log_cells[index] = std::move(c);
-          break;
-        }
-        default:
-          unknown.push_back(std::move(*rec));
-          break;
-      }
-    }
-    torn_tail = reader.truncated();
-  }
-  if (!saw_manifest) {
-    throw std::runtime_error("persist: store has no manifest record: " + path);
-  }
-  if (levels.has_value() && !(levels->identity == manifest)) {
-    throw std::runtime_error(
-        "persist: levels manifest does not match store (" +
-        describe_manifest_mismatch(levels->identity, manifest) + "): " + path);
-  }
-
-  result.bytes_before = file_size_or_zero(path) +
-                        file_size_or_zero(levels_manifest_path(path));
-  for (const CompactUnit& unit : units) {
-    result.bytes_before += unit.reader->file_bytes();
-  }
+  result.bytes_before = file_size_or_zero(path) + tier.bytes;
 
   // ---- Drop superseded log records. A cell is "completed" if any tier
   // holds its aggregate; orphan trials (their cell never completed) are
@@ -709,32 +624,23 @@ CompactionResult compact_store(const std::string& path,
       segment_cells[index] = std::move(cell);
     }
   }
-  for (const auto& [index, cell] : log_cells) completed.insert(index);
-  for (auto it = log_trials.begin(); it != log_trials.end();) {
-    if (!completed.contains(it->first.first)) {
-      it = log_trials.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  result.trials_dropped = trial_records - log_trials.size();
-  result.cells_dropped = cell_records - log_cells.size();
+  for (const auto& [index, cell] : log.cells) completed.insert(index);
+  std::erase_if(log.trials, [&](const auto& entry) {
+    return !completed.contains(entry.first.first);
+  });
+  result.trials_dropped = log.trial_records - log.trials.size();
+  result.cells_dropped = log.cell_records - log.cells.size();
 
-  const bool log_dirty = trial_records > 0 || cell_records > 0 || torn_tail;
+  const bool log_dirty =
+      log.trial_records > 0 || log.cell_records > 0 || log.torn_tail;
   bool changed = false;
 
-  // ---- Flush the log's data into a fresh level-0 segment. Trials of a
-  // cell completed in an older segment (crash-window duplicates) flush
-  // under that segment's aggregate — bit-identical, deduped on merge.
-  if (!log_cells.empty() || !log_trials.empty()) {
-    CellMap flush_cells = log_cells;
-    for (const auto& [key, t] : log_trials) {
-      if (!flush_cells.contains(key.first)) {
-        flush_cells[key.first] = segment_cells.at(key.first);
-      }
-    }
+  // Writes `cells` as the next-sequence segment at `level` and adds it
+  // to the live units.
+  const auto write_unit = [&](std::vector<SegmentCell> cells,
+                              std::uint32_t level) {
     CompactUnit unit;
-    unit.level = 0;
+    unit.level = level;
     unit.sequence = ++next_sequence;
     unit.path = (std::filesystem::path(path).parent_path() /
                  segment_file_name(path, unit.sequence))
@@ -742,20 +648,31 @@ CompactionResult compact_store(const std::string& path,
     SegmentWriteOptions write_options;
     write_options.block_bytes = options.block_bytes;
     write_segment(unit.path, unit.level, unit.sequence, manifest,
-                  to_segment_cells(std::move(flush_cells),
-                                   std::move(log_trials)),
-                  write_options);
+                  std::move(cells), write_options);
     unit.reader = std::make_unique<SegmentReader>(unit.path);
     units.push_back(std::move(unit));
     ++result.segments_written;
     changed = true;
+  };
+
+  // ---- Flush the log's data into a fresh level-0 segment. Trials of a
+  // cell completed in an older segment (crash-window duplicates) flush
+  // under that segment's aggregate — bit-identical, deduped on merge.
+  if (!log.cells.empty() || !log.trials.empty()) {
+    CellMap flush_cells = std::move(log.cells);
+    for (const auto& [key, t] : log.trials) {
+      if (!flush_cells.contains(key.first)) {
+        flush_cells[key.first] = segment_cells.at(key.first);
+      }
+    }
+    write_unit(to_segment_cells(std::move(flush_cells), std::move(log.trials)),
+               0);
   }
 
   // ---- Tier merge. Default (cap 0): everything into one sorted
   // segment. Tiered (cap > 0): any level over the cap merges, together
   // with the next level down, into a single deeper segment — young
   // levels stay small and churn, old levels are rewritten rarely.
-  std::vector<std::string> obsolete;
   const auto merge_into = [&](std::vector<std::size_t> input_indices,
                               std::uint32_t out_level) {
     std::vector<CompactUnit*> inputs;
@@ -771,28 +688,13 @@ CompactionResult compact_store(const std::string& path,
     result.trials_dropped += dup_trials;
     result.cells_dropped += dup_cells;
 
-    CompactUnit unit;
-    unit.level = out_level;
-    unit.sequence = ++next_sequence;
-    unit.path = (std::filesystem::path(path).parent_path() /
-                 segment_file_name(path, unit.sequence))
-                    .string();
-    SegmentWriteOptions write_options;
-    write_options.block_bytes = options.block_bytes;
-    write_segment(unit.path, unit.level, unit.sequence, manifest,
-                  to_segment_cells(std::move(cells), std::move(trials)),
-                  write_options);
-    unit.reader = std::make_unique<SegmentReader>(unit.path);
-    ++result.segments_written;
-    changed = true;
-
     std::sort(input_indices.begin(), input_indices.end(),
               std::greater<std::size_t>{});
     for (const std::size_t i : input_indices) {
-      obsolete.push_back(units[i].path);
       units.erase(units.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    units.push_back(std::move(unit));
+    write_unit(to_segment_cells(std::move(cells), std::move(trials)),
+               out_level);
   };
 
   if (options.max_level_bytes == 0) {
@@ -844,7 +746,6 @@ CompactionResult compact_store(const std::string& path,
   if (!units.empty() || levels.has_value()) {
     LevelsManifest out;
     out.generation = (levels.has_value() ? levels->generation : 0) + 1;
-    out.identity = manifest;
     // Round-trip the identity through its encoding so a v1 manifest
     // upgrades to the version the trimmed log will carry.
     out.identity = decode_store_manifest(encode_store_manifest(manifest));
@@ -875,7 +776,7 @@ CompactionResult compact_store(const std::string& path,
     {
       RecordWriter writer{tmp, RecordWriter::Mode::kTruncate};
       writer.append(kRecManifest, encode_store_manifest(manifest));
-      for (const Record& rec : unknown) {
+      for (const Record& rec : log.unknown) {
         writer.append(rec.type, rec.payload);
       }
       writer.sync();

@@ -147,9 +147,10 @@ class CampaignStore {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  /// Resume path: single pass over the existing file that validates the
-  /// on-disk manifest, reloads completed_, and returns the byte offset
-  /// of the last intact frame (the truncation point for the torn tail).
+  /// Resume path: single pass over the existing log that validates the
+  /// on-disk manifest and reloads completed_ (log cells, then the cells
+  /// of every segment open_segment_tier opens), and returns the byte
+  /// offset of the last intact frame (RecordWriter's kAppend point).
   /// Must run before writer_ opens — declaration order matters below.
   [[nodiscard]] std::uint64_t scan_existing();
 
@@ -162,8 +163,7 @@ class CampaignStore {
   bool resuming_ = false;
   bool manifest_on_disk_ = false;  ///< set by scan_existing()
   // Writer last: constructed after the resume scan decided the append
-  // point (kAppendClean skips RecordWriter's own recovery pass, so the
-  // file is read exactly once on resume).
+  // point, so the file is read exactly once on resume.
   RecordWriter writer_;
 };
 

@@ -88,18 +88,10 @@ LeaseLog::LeaseLog(const std::string& path, const StoreManifest& manifest)
       // Shorter than the magic = killed between create and magic write;
       // start fresh instead of throwing bad-magic on every restart.
       resuming_{record_file_usable(path)},
-      writer_{path, [&] {
-                if (!resuming_) return RecordWriter::Mode::kTruncate;
-                const std::uint64_t keep = scan_existing();
-                std::error_code ec;
-                std::filesystem::resize_file(path, keep, ec);
-                if (ec) {
-                  throw std::runtime_error(
-                      "persist: cannot truncate torn lease tail: " + path +
-                      ": " + ec.message());
-                }
-                return RecordWriter::Mode::kAppendClean;
-              }()} {
+      writer_{path,
+              resuming_ ? RecordWriter::Mode::kAppend
+                        : RecordWriter::Mode::kTruncate,
+              resuming_ ? scan_existing() : 0} {
   if (!resuming_ || !manifest_on_disk_) {
     writer_.append(kRecLeaseManifest, encode_store_manifest(manifest_));
   } else {

@@ -167,9 +167,10 @@ std::optional<Record> RecordReader::next() {
   return record;
 }
 
-RecordWriter::RecordWriter(const std::string& path, Mode mode) : path_{path} {
-  const bool exists = std::filesystem::exists(path);
-  if (mode == Mode::kTruncate || !exists) {
+RecordWriter::RecordWriter(const std::string& path, Mode mode,
+                           std::uint64_t valid_bytes)
+    : path_{path} {
+  if (mode == Mode::kTruncate) {
     file_ = std::fopen(path.c_str(), "wb");
     if (file_ == nullptr) io_error("cannot create store", path);
     if (std::fwrite(kRecordMagic.data(), 1, kRecordMagic.size(), file_) !=
@@ -181,26 +182,12 @@ RecordWriter::RecordWriter(const std::string& path, Mode mode) : path_{path} {
     return;
   }
 
-  if (mode == Mode::kAppendRecover) {
-    // Append recovery: find the end of the last intact frame, drop any
-    // torn tail so new frames land on a clean boundary.
-    std::uint64_t keep = 0;
-    {
-      RecordReader reader{path};  // throws on bad magic — never clobber
-      while (reader.next().has_value()) {
-      }
-      keep = reader.valid_bytes();
-    }
-    std::error_code ec;
-    std::filesystem::resize_file(path, keep, ec);
-    if (ec) {
-      throw std::runtime_error("persist: cannot truncate torn tail: " + path +
-                               ": " + ec.message());
-    }
-  } else {
-    // kAppendClean: the caller scanned and truncated already; just make
-    // sure this really is a record store before appending to it.
-    RecordReader magic_check{path};
+  (void)RecordReader{path};  // throws on bad magic: never clobber
+  std::error_code ec;
+  std::filesystem::resize_file(path, valid_bytes, ec);
+  if (ec) {
+    throw std::runtime_error("persist: cannot truncate torn tail: " + path +
+                             ": " + ec.message());
   }
   file_ = std::fopen(path.c_str(), "ab");
   if (file_ == nullptr) io_error("cannot open store for append", path);

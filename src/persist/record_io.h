@@ -95,20 +95,19 @@ class RecordReader {
 class RecordWriter {
  public:
   enum class Mode {
-    kTruncate,        ///< start a fresh file (magic + nothing)
-    kAppendRecover,   ///< keep existing records, chop any torn tail
-    kAppendClean,     ///< append as-is: caller already scanned/truncated
+    kTruncate,  ///< start a fresh file (magic + nothing)
+    kAppend,    ///< keep the records before `valid_bytes`, append after
   };
 
-  /// kTruncate creates/overwrites `path`. kAppendRecover scans an
-  /// existing file with RecordReader, truncates it to the last intact
-  /// frame, and positions for append (a missing file is created fresh).
-  /// kAppendClean skips the recovery scan — only the magic is checked —
-  /// for callers that just read the file themselves and already chopped
-  /// any torn tail (CampaignStore resume, which needs the records anyway
-  /// and should not pay a second full pass).
-  /// Throws std::runtime_error on I/O failure or bad magic.
-  RecordWriter(const std::string& path, Mode mode);
+  /// kTruncate creates/overwrites `path`. kAppend reopens an existing
+  /// store the caller has just scanned: `valid_bytes` is that scan's
+  /// RecordReader::valid_bytes(), the end of the last intact frame. The
+  /// magic is checked first (a foreign file is refused, never
+  /// truncated), then any torn tail past `valid_bytes` is cut off so new
+  /// frames land on a clean boundary. Throws std::runtime_error on I/O
+  /// failure or bad magic.
+  RecordWriter(const std::string& path, Mode mode,
+               std::uint64_t valid_bytes = 0);
   ~RecordWriter();
 
   RecordWriter(const RecordWriter&) = delete;

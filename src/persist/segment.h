@@ -21,8 +21,8 @@
 //    across blocks, so the block whose first key is the greatest key
 //    <= K is the ONLY block that can hold cell K.
 //  - cell blocks: the per-cell aggregate records, separately from the
-//    (much larger) trial data, so `cells()` — the resume path and every
-//    progress poll — reads a few small blocks and no trial bytes.
+//    (much larger) trial data, so `cells()` — what resume reloads its
+//    completed cells from — reads a few small blocks and no trial bytes.
 //  - the header pins the owning store's identity manifest; readers refuse
 //    a segment from a different sweep.
 #pragma once

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "campaign/grid.h"
@@ -535,6 +536,34 @@ TEST(CampaignStore, CompactionDropsOrphanTrialsAndTornTail) {
                       CampaignStore::Mode::kResume};
   const SweepReport finished = resumer.run(grid, store);
   EXPECT_EQ(finished.to_csv(), golden.to_csv());
+}
+
+TEST(CampaignStore, ReadersRejectTwoDifferentManifestsInOneLog) {
+  // Two different manifest records in one log are two sweeps spliced
+  // together: no reader may keep one and serve the other's records.
+  const CampaignOptions options = make_options(1, 2);
+  const StoreManifest first = manifest_for(small_grid(), options);
+  StoreManifest second = first;
+  second.trial_salt = first.trial_salt + 1;
+
+  const std::string repeated = tmp_store("repeated_manifest.store");
+  const std::string spliced = tmp_store("spliced_manifests.store");
+  for (const auto& [path, last] :
+       {std::pair{repeated, first}, std::pair{spliced, second}}) {
+    RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+    writer.append(kRecManifest, encode_store_manifest(first));
+    writer.append(kRecManifest, encode_store_manifest(last));
+  }
+
+  // The same manifest twice is one sweep.
+  EXPECT_EQ(StoreReader{repeated}.manifest(), first);
+  EXPECT_EQ(load_sweep({repeated}).manifest, first);
+
+  const char* const conflict = "conflicting manifest records";
+  EXPECT_THAT_ERROR((void)StoreReader{spliced}, conflict);
+  EXPECT_THAT_ERROR((void)load_sweep({spliced}), conflict);
+  EXPECT_THAT_ERROR((void)load_sweep({spliced}), "trial_salt");
+  EXPECT_THAT_ERROR((void)compact_store(spliced), conflict);
 }
 
 TEST(CampaignStore, LoadSweepDeduplicatesIdenticalCopiesOnly) {

@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "persist/encoding.h"
 
@@ -158,10 +160,14 @@ TEST(RecordIo, RejectsBadMagic) {
   const auto path = tmp_file("badmagic.rec");
   std::ofstream{path, std::ios::binary} << "this is not a record store";
   EXPECT_THROW(RecordReader{path.string()}, std::runtime_error);
-  // Append recovery must refuse too rather than clobber a foreign file.
-  EXPECT_THROW(
-      (RecordWriter{path.string(), RecordWriter::Mode::kAppendRecover}),
-      std::runtime_error);
+  // Append must refuse too rather than clobber a foreign file: not even
+  // the cut to `valid_bytes` may touch it.
+  EXPECT_THROW((RecordWriter{path.string(), RecordWriter::Mode::kAppend,
+                             kRecordMagic.size()}),
+               std::runtime_error);
+  std::ifstream in{path, std::ios::binary};
+  const std::string left{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_EQ(left, "this is not a record store");
 }
 
 TEST(RecordIo, TornHeaderStopsCleanly) {
@@ -248,8 +254,17 @@ TEST(RecordIo, AppendRecoveryChopsTornTailAndContinues) {
   }
   truncate_by(path, 7);  // tear record 3
 
+  std::uint64_t valid_bytes = 0;
   {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kAppendRecover};
+    RecordReader scan{path.string()};
+    while (scan.next().has_value()) {
+    }
+    ASSERT_TRUE(scan.truncated());
+    valid_bytes = scan.valid_bytes();
+  }
+  {
+    RecordWriter writer{path.string(), RecordWriter::Mode::kAppend,
+                        valid_bytes};
     writer.append(4, std::vector<std::uint8_t>(16, 0x04));
   }
 
@@ -260,20 +275,6 @@ TEST(RecordIo, AppendRecoveryChopsTornTailAndContinues) {
   }
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(types, (std::vector<std::uint8_t>{1, 2, 4}));
-}
-
-TEST(RecordIo, AppendRecoveryOnMissingFileCreatesFresh) {
-  const auto path = tmp_file("freshappend.rec");
-  {
-    RecordWriter writer{path.string(), RecordWriter::Mode::kAppendRecover};
-    writer.append(7, std::vector<std::uint8_t>{42});
-  }
-  RecordReader reader{path.string()};
-  const auto rec = reader.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->type, 7);
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_FALSE(reader.truncated());
 }
 
 }  // namespace

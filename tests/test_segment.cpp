@@ -1,16 +1,22 @@
 // Segment-tier tests: the sorted block-indexed format itself (round
 // trip, index behavior, damage rejection), compaction identity at scale
 // (flat vs segmented views byte-identical, tiered shapes included), the
-// indexed read path actually touching only a cell's blocks, and the
+// indexed read path actually touching only a cell's blocks, the
 // machinery around it (tailer across a compaction, resume on a
-// segmented store).
+// segmented store), and every tier opener refusing a segment from
+// another sweep or out of sequence without touching the store.
 #include "persist/segment.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,6 +132,57 @@ std::vector<SegmentCell> synth_segment_cells(std::uint64_t cells,
     out.push_back(std::move(cell));
   }
   return out;
+}
+
+/// A 20-cell store compacted twice under a generous level cap: two
+/// live level-0 segments (cells 0-9, then 10-19 appended by a resume)
+/// and a log trimmed to its manifest record.
+std::string two_segment_store(const char* name) {
+  const std::string path = tmp_path(name);
+  const StoreManifest manifest = synth_manifest(20, 4);
+  CompactOptions tiered;
+  tiered.max_level_bytes = 64 * 1024 * 1024;
+  for (std::uint64_t first = 0; first < 20; first += 10) {
+    {
+      CampaignStore store{path, manifest,
+                          CampaignStore::Mode::kCreateOrResume};
+      for (std::uint64_t c = first; c < first + 10; ++c) {
+        for (std::uint32_t t = 0; t < 4; ++t) {
+          store.append_trial(synth_trial(c, t));
+        }
+        store.complete_cell(synth_stats(c, 4));
+      }
+    }
+    (void)compact_store(path, tiered);
+  }
+  return path;
+}
+
+/// Every file of the store at `path` (log, sidecar, segments) by name,
+/// with its bytes — to prove a refused operation touched nothing.
+std::map<std::string, std::string> store_files(const std::string& path) {
+  const std::filesystem::path store{path};
+  const std::string base = store.filename().string();
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with(base)) continue;
+    std::ifstream in{entry.path(), std::ios::binary};
+    files[name] = {std::istreambuf_iterator<char>{in}, {}};
+  }
+  return files;
+}
+
+/// The std::runtime_error message `fn` throws, "" when it returns.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 /// The three stats renderings at once — "byte-identical" means all of
@@ -325,6 +382,69 @@ TEST(Segment, TieredCompactionKeepsMultipleSegmentsAndIdentity) {
   tight.max_level_bytes = 1024;
   EXPECT_EQ(compact_store(path, tight).segments_live, 1u);
   EXPECT_EQ(stats_bytes(path), stats_bytes(flat));
+}
+
+TEST(Segment, CompactionRefusesSegmentOfAnotherSweep) {
+  const std::string path = two_segment_store("foreign.store");
+  const std::optional<LevelsManifest> levels = read_levels_manifest(path);
+  ASSERT_TRUE(levels.has_value());
+  ASSERT_EQ(levels->segments.size(), 2u);
+
+  // Overwrite the first segment with one a sweep under another salt
+  // wrote at the same level and sequence.
+  const SegmentRef& ref = levels->segments.front();
+  StoreManifest foreign = synth_manifest(20, 4);
+  foreign.trial_salt = 2;
+  (void)write_segment(segment_path(path, ref), ref.level, ref.sequence,
+                      foreign, synth_segment_cells(10, 4));
+  const std::map<std::string, std::string> before = store_files(path);
+  ASSERT_EQ(before.size(), 4u);  // log, sidecar, two segments
+
+  // Compaction must neither merge the foreign cells under this store's
+  // identity nor rewrite anything on the way to refusing.
+  const std::string error = error_of([&] { (void)compact_store(path); });
+  EXPECT_NE(error.find("persist: segment " + ref.file), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("different sweep"), std::string::npos) << error;
+  EXPECT_NE(error.find("trial_salt 2 != 42"), std::string::npos) << error;
+  EXPECT_TRUE(store_files(path) == before);
+
+  // The same error StoreReader (stats/diff/merge) and resume give.
+  EXPECT_EQ(error_of([&] { (void)StoreReader{path}; }), error);
+  EXPECT_NE(error_of([&] {
+              CampaignStore store{path, synth_manifest(20, 4),
+                                  CampaignStore::Mode::kResume};
+            }).find("different sweep"),
+            std::string::npos);
+  EXPECT_TRUE(store_files(path) == before);
+}
+
+TEST(Segment, CompactionAndResumeRefuseSegmentOutOfSequence) {
+  const std::string path = two_segment_store("sequence.store");
+  const std::optional<LevelsManifest> levels = read_levels_manifest(path);
+  ASSERT_TRUE(levels.has_value());
+  ASSERT_EQ(levels->segments.size(), 2u);
+
+  // Right sweep, wrong file: the segment's own sequence disagrees with
+  // the one its SegmentRef records, so last-wins order is unknowable.
+  const SegmentRef& ref = levels->segments.front();
+  (void)write_segment(segment_path(path, ref), ref.level, ref.sequence + 7,
+                      synth_manifest(20, 4), synth_segment_cells(10, 4));
+  const std::map<std::string, std::string> before = store_files(path);
+
+  const std::string error = error_of([&] { (void)compact_store(path); });
+  EXPECT_NE(error.find("persist: segment " + ref.file), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("sequence"), std::string::npos) << error;
+  EXPECT_TRUE(store_files(path) == before);
+
+  EXPECT_EQ(error_of([&] {
+              CampaignStore store{path, synth_manifest(20, 4),
+                                  CampaignStore::Mode::kResume};
+            }),
+            error);
+  EXPECT_EQ(error_of([&] { (void)StoreReader{path}; }), error);
+  EXPECT_TRUE(store_files(path) == before);
 }
 
 TEST(Segment, IndexedCellReadTouchesFractionOfBigStore) {
