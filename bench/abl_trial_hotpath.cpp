@@ -6,8 +6,13 @@
 // end-to-end number hides: a scrape regression and a scoring regression
 // look identical from the outside, but not here. The untraced twin of
 // the same loop pins the cost of the tracing gate itself.
+//
+// Those two run on the test_small fixture. BM_VictimBoardAcquire times
+// the board reboot every pooled trial starts with at production shape
+// (ZCU104, 512 MiB frame pool), where the fixture understates it.
 #include "bench_common.h"
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -40,7 +45,10 @@ void print_intro() {
   std::puts("span recorder on; stage_<name>_ms counters are the mean span");
   std::puts("duration per stage, aggregated from the trace rings.");
   std::puts("TrialUntraced: the identical loop with tracing disabled — the");
-  std::puts("pair bounds the recorder's own overhead on the hot path.\n");
+  std::puts("pair bounds the recorder's own overhead on the hot path.");
+  std::puts("VictimBoardAcquire: VictimBoardPool::acquire of a parked ZCU104");
+  std::puts("board, idle (launched:0) or after one resnet50_pt launch");
+  std::puts("(launched:1); only the acquire is timed.\n");
 }
 
 void BM_TrialTraced(benchmark::State& state) {
@@ -89,6 +97,42 @@ void BM_TrialUntraced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrialUntraced)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_VictimBoardAcquire(benchmark::State& state) {
+  const bool launched = state.range(0) != 0;
+  attack::ScenarioConfig cfg;
+  cfg.system = os::SystemConfig::zcu104();
+  const img::Image input = attack::make_victim_input(cfg);
+  attack::VictimBoardPool pool;
+  pool.release(cfg, pool.acquire(cfg));  // park one board
+  for (auto _ : state) {
+    if (launched) {
+      auto board = pool.acquire(cfg);
+      board->system.add_user(cfg.victim_uid, "victim");
+      (void)board->runtime.launch(cfg.victim_uid, cfg.model_name, input,
+                                  "pts/1");
+      pool.release(cfg, std::move(board));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    auto board = pool.acquire(cfg);
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    pool.release(cfg, std::move(board));
+  }
+}
+BENCHMARK(BM_VictimBoardAcquire)
+    ->ArgName("launched")
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseManualTime();
+// The untimed launch dominates wall time; a fixed count keeps the case
+// from running thousands of inferences to fill the minimum timed window.
+BENCHMARK(BM_VictimBoardAcquire)
+    ->ArgName("launched")
+    ->Arg(1)
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseManualTime();
 
 }  // namespace
 

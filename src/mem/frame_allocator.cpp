@@ -11,7 +11,7 @@ PageFrameAllocator::PageFrameAllocator(dram::DramModel& dram,
   init();
 }
 
-void PageFrameAllocator::init() {
+void PageFrameAllocator::check_pool() const {
   if (config_.frame_count == 0) {
     throw std::invalid_argument("PageFrameAllocator: empty pool");
   }
@@ -21,21 +21,45 @@ void PageFrameAllocator::init() {
                                pool_end - frame_to_phys(config_.first_pfn))) {
     throw std::invalid_argument("PageFrameAllocator: pool outside DRAM window");
   }
+}
+
+void PageFrameAllocator::init() {
+  check_pool();
   frames_.assign(config_.frame_count, FrameInfo{});
-  free_list_.clear();
-  free_list_.reserve(config_.frame_count);
-  // Push descending so LIFO pop_back hands out ascending PFNs first — the
-  // deterministic low-to-high layout the paper's profiling step relies on.
-  for (std::uint64_t i = config_.frame_count; i-- > 0;) {
-    free_list_.push_back(config_.first_pfn + i);
-  }
-  stats_ = {};
+  free_list_.resize(config_.frame_count);
+  touched_.clear();
+  free_low_water_ = 0;  // rebuild every free-list slot
+  rewind();
 }
 
 void PageFrameAllocator::reset(FrameAllocatorConfig config) {
+  const bool same_shape = config.first_pfn == config_.first_pfn &&
+                          config.frame_count == config_.frame_count;
   config_ = config;
   prng_ = util::Prng{config.seed};
-  init();
+  if (!same_shape) {
+    init();
+    return;
+  }
+  // The DRAM window may have changed even though the pool did not.
+  check_pool();
+  for (const std::size_t i : touched_) {
+    frames_[i] = FrameInfo{};
+    free_list_[config_.frame_count - 1 - i] = config_.first_pfn + i;
+  }
+  touched_.clear();
+  rewind();
+}
+
+void PageFrameAllocator::rewind() {
+  const std::uint64_t n = config_.frame_count;
+  for (std::uint64_t j = free_low_water_; j < n; ++j) {
+    free_list_[j] = config_.first_pfn + n - 1 - j;
+  }
+  free_head_ = 0;
+  free_count_ = n;
+  free_low_water_ = n;
+  stats_ = {};
 }
 
 std::size_t PageFrameAllocator::index_of(Pfn pfn) const {
@@ -51,40 +75,49 @@ void PageFrameAllocator::scrub(Pfn pfn) {
   stats_.bytes_scrubbed += kPageSize;
 }
 
+Pfn& PageFrameAllocator::free_entry(std::uint64_t k) noexcept {
+  std::uint64_t slot = free_head_ + k;
+  if (slot >= config_.frame_count) slot -= config_.frame_count;
+  return free_list_[slot];
+}
+
 std::optional<Pfn> PageFrameAllocator::allocate(std::int64_t owner_pid) {
-  if (free_list_.empty()) return std::nullopt;
+  if (owner_pid == 0) {
+    throw std::invalid_argument(
+        "PageFrameAllocator: owner pid 0 marks a free frame");
+  }
+  if (free_count_ == 0) return std::nullopt;
 
   Pfn pfn;
   switch (config_.placement) {
     case PlacementPolicy::kSequentialLifo:
-      pfn = free_list_.back();
-      free_list_.pop_back();
+      pfn = free_entry(free_count_ - 1);
       break;
     case PlacementPolicy::kSequentialFifo:
-      // The free list is kept in push order; take from the oldest end.
-      // O(n) erase is fine at simulation scale.
-      pfn = free_list_.front();
-      free_list_.erase(free_list_.begin());
+      pfn = free_entry(0);
+      free_head_ = free_head_ + 1 == config_.frame_count ? 0 : free_head_ + 1;
       break;
     case PlacementPolicy::kRandomized: {
-      const std::size_t i =
-          static_cast<std::size_t>(prng_.below(free_list_.size()));
-      pfn = free_list_[i];
-      free_list_[i] = free_list_.back();
-      free_list_.pop_back();
+      Pfn& slot = free_entry(prng_.below(free_count_));
+      pfn = slot;
+      slot = free_entry(free_count_ - 1);
       break;
     }
     default:
       throw std::logic_error("PageFrameAllocator: unknown placement policy");
   }
+  --free_count_;
+  free_low_water_ = std::min(free_low_water_, free_count_);
 
-  auto& fi = frames_[index_of(pfn)];
+  const std::size_t index = index_of(pfn);
+  auto& fi = frames_[index];
   const bool dirty = fi.ever_used &&
                      dram_.any_nonzero(frame_to_phys(pfn), kPageSize);
   if (dirty) ++stats_.dirty_reuses;
   if (config_.sanitize == SanitizePolicy::kZeroOnAlloc && fi.ever_used) {
     scrub(pfn);
   }
+  if (!fi.ever_used) touched_.push_back(index);
   fi.owner_pid = owner_pid;
   fi.ever_used = true;
   ++stats_.allocations;
@@ -101,7 +134,7 @@ void PageFrameAllocator::free(Pfn pfn) {
   if (config_.sanitize == SanitizePolicy::kZeroOnFree) {
     scrub(pfn);
   }
-  free_list_.push_back(pfn);
+  free_entry(free_count_++) = pfn;
   ++stats_.frees;
 }
 
@@ -111,9 +144,10 @@ const FrameInfo& PageFrameAllocator::info(Pfn pfn) const {
 
 std::vector<Pfn> PageFrameAllocator::dirty_free_frames() const {
   std::vector<Pfn> out;
-  for (const Pfn pfn : free_list_) {
-    const auto& fi = frames_[pfn - config_.first_pfn];
-    if (fi.ever_used && dram_.any_nonzero(frame_to_phys(pfn), kPageSize)) {
+  for (const std::size_t i : touched_) {
+    const Pfn pfn = config_.first_pfn + i;
+    if (frames_[i].owner_pid == 0 &&
+        dram_.any_nonzero(frame_to_phys(pfn), kPageSize)) {
       out.push_back(pfn);
     }
   }

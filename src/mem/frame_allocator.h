@@ -66,7 +66,13 @@ class PageFrameAllocator {
   /// Reinitializes in place to exactly the state a freshly constructed
   /// allocator over the same DRAM would have (frame table, free-list
   /// order, PRNG, stats), reusing vector storage — the board-pooling
-  /// fast path for same-shape reuse.
+  /// fast path.
+  ///
+  /// Cost: a same-shape reset (unchanged first_pfn and frame_count) is
+  /// O(frames touched since the last reset): it clears only the frame
+  /// table entries ever allocated and rewrites only the free-list slots
+  /// that can differ from the canonical order. A shape change rebuilds
+  /// both tables in O(pool), exactly as construction does.
   void reset(FrameAllocatorConfig config);
 
   [[nodiscard]] const FrameAllocatorConfig& config() const noexcept {
@@ -74,8 +80,8 @@ class PageFrameAllocator {
   }
   [[nodiscard]] const FrameAllocatorStats& stats() const noexcept { return stats_; }
 
-  /// Allocates one frame for `owner_pid`. Returns std::nullopt when the
-  /// pool is exhausted.
+  /// Allocates one frame for `owner_pid`, which must be nonzero (0 marks
+  /// a free frame). Returns std::nullopt when the pool is exhausted.
   [[nodiscard]] std::optional<Pfn> allocate(std::int64_t owner_pid);
 
   /// Releases a frame. Precondition: currently allocated. Applies the
@@ -87,14 +93,15 @@ class PageFrameAllocator {
   [[nodiscard]] const FrameInfo& info(Pfn pfn) const;
 
   [[nodiscard]] std::uint64_t free_frames() const noexcept {
-    return free_list_.size();
+    return free_count_;
   }
   [[nodiscard]] std::uint64_t used_frames() const noexcept {
-    return config_.frame_count - free_list_.size();
+    return config_.frame_count - free_count_;
   }
 
-  /// All frames currently free but previously used (i.e. carrying residue
-  /// if sanitize policy is kNone). Forensics/defense-evaluation helper.
+  /// All frames currently free but previously used and still holding
+  /// nonzero bytes (i.e. residue if sanitize policy is kNone), ascending.
+  /// Forensics/defense-evaluation helper; O(frames ever used).
   [[nodiscard]] std::vector<Pfn> dirty_free_frames() const;
 
   [[nodiscard]] static dram::PhysAddr frame_to_phys(Pfn pfn) noexcept {
@@ -106,13 +113,31 @@ class PageFrameAllocator {
 
  private:
   void init();
+  void check_pool() const;
+  /// Restores the canonical free-list slots from free_low_water_ up,
+  /// marks every frame free again and clears the stats.
+  void rewind();
   [[nodiscard]] std::size_t index_of(Pfn pfn) const;
+  /// The k-th free-list entry, oldest (FIFO end) first.
+  [[nodiscard]] Pfn& free_entry(std::uint64_t k) noexcept;
   void scrub(Pfn pfn);
 
   dram::DramModel& dram_;
   FrameAllocatorConfig config_;
-  std::vector<Pfn> free_list_;     // back = next LIFO candidate
-  std::vector<FrameInfo> frames_;  // indexed by pfn - first_pfn
+  // The free list is a ring of frame_count slots holding free_count_
+  // entries from free_head_; the newest entry is the next LIFO
+  // candidate. Only FIFO moves the head. The canonical (freshly built)
+  // list has slot j = first_pfn + frame_count-1-j, head 0, all full, so
+  // LIFO hands out ascending PFNs first — the deterministic low-to-high
+  // layout the paper's profiling step relies on. A slot can differ from
+  // canonical only if it lies at or above free_low_water_ or its
+  // canonical frame is in touched_, which is what makes reset cheap.
+  std::vector<Pfn> free_list_;
+  std::uint64_t free_head_ = 0;
+  std::uint64_t free_count_ = 0;
+  std::uint64_t free_low_water_ = 0;  // min free_count_ since (re)init
+  std::vector<FrameInfo> frames_;     // indexed by pfn - first_pfn
+  std::vector<std::size_t> touched_;  // frames_ indices with ever_used set
   util::Prng prng_;
   FrameAllocatorStats stats_;
 };

@@ -100,7 +100,8 @@ class PetaLinuxSystem {
   /// tables, process table, users, clock, and PRNG all reinitialized —
   /// while reusing block and table storage. This is what makes victim
   /// boards poolable across trials: reset + reuse is indistinguishable
-  /// from a fresh construction.
+  /// from a fresh construction. With the pool shape unchanged it costs
+  /// O(DRAM blocks and frames touched since the last reset).
   void reset(SystemConfig config);
 
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }

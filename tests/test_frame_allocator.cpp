@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "util/prng.h"
 
 namespace msa::mem {
 namespace {
@@ -89,6 +95,13 @@ TEST(FrameAllocator, DoubleFreeThrows) {
   const Pfn p = a.allocate(1).value();
   a.free(p);
   EXPECT_THROW(a.free(p), std::logic_error);
+}
+
+TEST(FrameAllocator, OwnerPidZeroThrows) {
+  Fixture f;
+  auto a = f.make();
+  EXPECT_THROW((void)a.allocate(0), std::invalid_argument);
+  EXPECT_EQ(a.free_frames(), 64u);
 }
 
 TEST(FrameAllocator, ForeignPfnThrows) {
@@ -221,6 +234,161 @@ INSTANTIATE_TEST_SUITE_P(
         PolicyCase{SanitizePolicy::kZeroOnFree, PlacementPolicy::kRandomized},
         PolicyCase{SanitizePolicy::kZeroOnAlloc, PlacementPolicy::kSequentialLifo},
         PolicyCase{SanitizePolicy::kZeroOnAlloc, PlacementPolicy::kSequentialFifo}));
+
+constexpr std::array kSanitizePolicies{SanitizePolicy::kNone,
+                                       SanitizePolicy::kZeroOnFree,
+                                       SanitizePolicy::kZeroOnAlloc};
+constexpr std::array kPlacementPolicies{PlacementPolicy::kSequentialLifo,
+                                        PlacementPolicy::kSequentialFifo,
+                                        PlacementPolicy::kRandomized};
+
+/// A seeded alloc/free history that leaves residue in some frames and
+/// frees and reuses frames. With `exhaust` it runs 400 operations and the
+/// pool dry mid-way. Without, it is trial-sized: 24 operations holding at
+/// most 4 frames, so a later reset must find the few free-list slots the
+/// history touched rather than rebuild them all. At the end it
+/// cross-checks dirty_free_frames() against a brute-force scan.
+void run_history(PageFrameAllocator& a, dram::DramModel& dram,
+                 std::uint64_t seed, bool exhaust) {
+  const int ops = exhaust ? 400 : 24;
+  const std::size_t cap = exhaust ? a.config().frame_count : 4;
+  util::Prng prng{seed};
+  std::vector<Pfn> held;
+  const auto allocate = [&] {
+    const auto p = a.allocate(static_cast<std::int64_t>(1 + prng.below(5)));
+    if (!p) return false;
+    held.push_back(*p);
+    if (prng.chance(0.5)) {
+      dram.fill_range(PageFrameAllocator::frame_to_phys(*p) + prng.below(4000),
+                      64, static_cast<std::uint8_t>(1 + prng.below(255)));
+    }
+    return true;
+  };
+  const auto free_one = [&] {
+    const std::size_t i = static_cast<std::size_t>(prng.below(held.size()));
+    a.free(held[i]);
+    held[i] = held.back();
+    held.pop_back();
+  };
+  for (int op = 0; op < ops; ++op) {
+    if (exhaust && op == 200) {
+      while (allocate()) {
+      }
+      ASSERT_EQ(a.free_frames(), 0u);
+    }
+    if (held.empty() || (held.size() < cap && prng.chance(0.6))) {
+      (void)allocate();
+    } else {
+      free_one();
+    }
+  }
+  // Leave a mix of held and freed frames behind.
+  for (std::size_t n = held.size() / 2; n > 0; --n) free_one();
+
+  std::vector<Pfn> expected_dirty;
+  const FrameAllocatorConfig& c = a.config();
+  for (Pfn pfn = c.first_pfn; pfn < c.first_pfn + c.frame_count; ++pfn) {
+    const FrameInfo& fi = a.info(pfn);
+    if (fi.ever_used && fi.owner_pid == 0 &&
+        dram.any_nonzero(PageFrameAllocator::frame_to_phys(pfn),
+                         PageFrameAllocator::kPageSize)) {
+      expected_dirty.push_back(pfn);
+    }
+  }
+  EXPECT_EQ(a.dirty_free_frames(), expected_dirty);
+}
+
+/// Expects `reset` to be indistinguishable from a fresh allocator built
+/// from its config over the same DRAM: frame table, counters, forensics
+/// view, and the whole allocation sequence until the pool runs dry.
+void expect_same_as_fresh(PageFrameAllocator& reset, dram::DramModel& dram) {
+  PageFrameAllocator fresh{dram, reset.config()};
+  const FrameAllocatorConfig& c = fresh.config();
+  const auto expect_same_state = [&] {
+    for (Pfn pfn = c.first_pfn; pfn < c.first_pfn + c.frame_count; ++pfn) {
+      ASSERT_EQ(reset.info(pfn).owner_pid, fresh.info(pfn).owner_pid) << pfn;
+      ASSERT_EQ(reset.info(pfn).last_owner, fresh.info(pfn).last_owner) << pfn;
+      ASSERT_EQ(reset.info(pfn).ever_used, fresh.info(pfn).ever_used) << pfn;
+    }
+    EXPECT_EQ(reset.stats().allocations, fresh.stats().allocations);
+    EXPECT_EQ(reset.stats().frees, fresh.stats().frees);
+    EXPECT_EQ(reset.stats().dirty_reuses, fresh.stats().dirty_reuses);
+    EXPECT_EQ(reset.stats().frames_scrubbed, fresh.stats().frames_scrubbed);
+    EXPECT_EQ(reset.stats().bytes_scrubbed, fresh.stats().bytes_scrubbed);
+    EXPECT_EQ(reset.free_frames(), fresh.free_frames());
+    EXPECT_EQ(reset.dirty_free_frames(), fresh.dirty_free_frames());
+  };
+  expect_same_state();
+  // Fresh frames are never scrubbed or dirty-checked, so drawing from
+  // both allocators over one DRAM does not couple them.
+  for (std::uint64_t i = 0; i <= c.frame_count; ++i) {
+    ASSERT_EQ(reset.allocate(3), fresh.allocate(3)) << "allocation " << i;
+  }
+  expect_same_state();
+}
+
+using PolicyPair = std::tuple<SanitizePolicy, PlacementPolicy>;
+
+class ResetMatchesFresh : public ::testing::TestWithParam<PolicyPair> {};
+
+TEST_P(ResetMatchesFresh, AfterAnyHistory) {
+  const auto [sanitize, placement] = GetParam();
+  // The reset target differs from the history's policies and seed.
+  const auto next = [](const auto& values, auto v) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] == v) return values[(i + 1) % values.size()];
+    }
+    return v;
+  };
+  Fixture f;
+  auto a = f.make(sanitize, placement);
+  const FrameAllocatorConfig own = a.config();
+  FrameAllocatorConfig other = own;
+  other.sanitize = next(kSanitizePolicies, sanitize);
+  other.placement = next(kPlacementPolicies, placement);
+  other.seed = 77;
+  FrameAllocatorConfig smaller = other;
+  smaller.first_pfn = 0x180;
+  smaller.frame_count = 40;
+
+  // expect_same_as_fresh drains the pool, so each history after it
+  // starts from a reset of its own.
+  run_history(a, f.dram, 11, /*exhaust=*/true);
+  a.reset(other);
+  expect_same_as_fresh(a, f.dram);
+
+  for (std::uint64_t seed = 12; seed < 20; ++seed) {
+    a.reset(own);
+    run_history(a, f.dram, seed, /*exhaust=*/false);
+    a.reset(other);
+    expect_same_as_fresh(a, f.dram);
+  }
+
+  // Shape-changing resets: a smaller pool elsewhere, then back.
+  a.reset(own);
+  run_history(a, f.dram, 20, /*exhaust=*/false);
+  a.reset(smaller);
+  expect_same_as_fresh(a, f.dram);
+  a.reset(smaller);
+  run_history(a, f.dram, 21, /*exhaust=*/false);
+  a.reset(own);
+  expect_same_as_fresh(a, f.dram);
+}
+
+std::string policy_pair_name(
+    const ::testing::TestParamInfo<PolicyPair>& info) {
+  constexpr std::array kSanitizeNames{"None", "ZeroOnFree", "ZeroOnAlloc"};
+  constexpr std::array kPlacementNames{"Lifo", "Fifo", "Randomized"};
+  const auto [sanitize, placement] = info.param;
+  return std::string{kSanitizeNames[static_cast<std::size_t>(sanitize)]} +
+         "_" + kPlacementNames[static_cast<std::size_t>(placement)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicyPairs, ResetMatchesFresh,
+    ::testing::Combine(::testing::ValuesIn(kSanitizePolicies),
+                       ::testing::ValuesIn(kPlacementPolicies)),
+    policy_pair_name);
 
 }  // namespace
 }  // namespace msa::mem

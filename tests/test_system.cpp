@@ -242,5 +242,58 @@ TEST(System, PoolExhaustionThrowsBadAlloc) {
   EXPECT_THROW(sys.sbrk(pid, 16 * mem::kPageSize), std::bad_alloc);
 }
 
+/// One trial-shaped pass over a board: a victim grows a heap, fills it
+/// with a recognisable pattern and terminates while a second process
+/// stays alive. Returns the victim's former heap frames.
+std::vector<dram::PhysAddr> run_trial(PetaLinuxSystem& sys) {
+  sys.add_user(1000, "victim");
+  const Pid shell = sys.spawn(0, {"sh"}, "pts/0");
+  const Pid victim = sys.spawn(1000, {"./resnet50_pt", "img.ppm"}, "pts/1");
+  const mem::VirtAddr base = sys.sbrk(victim, 5 * mem::kPageSize + 300);
+  std::vector<std::uint8_t> data(3 * mem::kPageSize);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  sys.write_virt(victim, base + 100, data);
+  (void)sys.sbrk(shell, 2 * mem::kPageSize);
+  sys.advance_time(90);
+  sys.terminate(victim);
+  return sys.terminated().back().heap_frames;
+}
+
+TEST(System, ResetMatchesFreshBoot) {
+  for (const mem::PlacementPolicy placement :
+       {mem::PlacementPolicy::kSequentialLifo,
+        mem::PlacementPolicy::kSequentialFifo,
+        mem::PlacementPolicy::kRandomized}) {
+    SCOPED_TRACE(static_cast<int>(placement));
+    SystemConfig config = SystemConfig::test_small();
+    config.placement = placement;
+    PetaLinuxSystem reused{config};
+    (void)run_trial(reused);
+    (void)run_trial(reused);
+
+    config.sanitize = mem::SanitizePolicy::kZeroOnAlloc;
+    config.seed = 1234;
+    reused.reset(config);
+    PetaLinuxSystem fresh{config};
+
+    const std::vector<dram::PhysAddr> heap = run_trial(reused);
+    EXPECT_EQ(heap, run_trial(fresh));
+    EXPECT_EQ(reused.pids(), fresh.pids());
+    EXPECT_EQ(reused.ps_ef(), fresh.ps_ef());
+    EXPECT_EQ(reused.allocator().used_frames(),
+              fresh.allocator().used_frames());
+    EXPECT_EQ(reused.allocator().dirty_free_frames(),
+              fresh.allocator().dirty_free_frames());
+    for (const dram::PhysAddr pa : heap) {
+      for (std::uint64_t off = 0; off < mem::kPageSize; off += 4) {
+        ASSERT_EQ(reused.devmem_read32(pa + off), fresh.devmem_read32(pa + off))
+            << "pa " << pa + off;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace msa::os
