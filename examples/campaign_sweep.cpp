@@ -949,12 +949,9 @@ int run_sweep(const char* argv0, int argc, char** argv, bool metrics_mode) {
   // which carries no cache telemetry — printing its zeros would mislead.
   if (!quiet && profile_cache && workers_dir.empty()) {
     std::fprintf(stderr,
-                 "[campaign] profile cache: %llu hits, %llu misses "
-                 "(%llu twin boards built, %llu reused)\n",
+                 "[campaign] profile cache: %llu hits, %llu misses\n",
                  static_cast<unsigned long long>(report.profile_cache_hits),
-                 static_cast<unsigned long long>(report.profile_cache_misses),
-                 static_cast<unsigned long long>(report.twin_boards_built),
-                 static_cast<unsigned long long>(report.twin_boards_reused));
+                 static_cast<unsigned long long>(report.profile_cache_misses));
   }
 
   // The trace is written even when the cell budget cuts the sweep short:

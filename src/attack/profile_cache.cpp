@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "attack/profiler.h"
-#include "mem/frame_allocator.h"
 #include "obs/metrics.h"
 
 namespace msa::attack {
@@ -16,14 +14,6 @@ obs::Counter& hits_metric() {
 }
 obs::Counter& misses_metric() {
   static obs::Counter& c = obs::counter("cache.profile_misses");
-  return c;
-}
-obs::Counter& built_metric() {
-  static obs::Counter& c = obs::counter("cache.twin_boards_built");
-  return c;
-}
-obs::Counter& reused_metric() {
-  static obs::Counter& c = obs::counter("cache.twin_boards_reused");
   return c;
 }
 obs::Counter& victim_built_metric() {
@@ -68,49 +58,6 @@ ProfileKey ProfileKey::from_config(const ScenarioConfig& config) {
   key.image_width = config.image_width;
   key.image_height = config.image_height;
   return key;
-}
-
-TwinBoardPool::Board::Board(const os::SystemConfig& twin, os::Uid attacker_uid)
-    : system{twin},
-      runtime{system},
-      debugger{system, attacker_uid,
-               dbg::DebuggerAcl{dbg::AclMode::kUnrestricted}} {
-  system.add_user(attacker_uid, "attacker");
-}
-
-std::unique_ptr<TwinBoardPool::Board> TwinBoardPool::acquire(
-    const ScenarioConfig& config) {
-  {
-    const std::lock_guard lock{mutex_};
-    const auto it = idle_.find(TwinBoardKey::from_config(config));
-    if (it != idle_.end() && !it->second.empty()) {
-      std::unique_ptr<Board> board = std::move(it->second.back());
-      it->second.pop_back();
-      reused_metric().add();
-      return board;
-    }
-  }
-  // Build outside the lock: distinct-key misses construct concurrently.
-  auto board = std::make_unique<Board>(twin_system_config(config),
-                                       config.attacker_uid);
-  built_metric().add();
-  return board;
-}
-
-void TwinBoardPool::release(const ScenarioConfig& config,
-                            std::unique_ptr<Board> board) {
-  // Zero the residue the profile run left behind so the next profile on
-  // this board sees the same all-zero free memory a fresh board would
-  // (alignment gaps inside a future heap are never written, so stale
-  // bytes there would otherwise leak into the scrape). Whole-page zeroes
-  // drop the sparse DRAM blocks, so a parked board stays small.
-  mem::PageFrameAllocator& alloc = board->system.allocator();
-  for (const mem::Pfn pfn : alloc.dirty_free_frames()) {
-    board->system.dram().zero_range(mem::PageFrameAllocator::frame_to_phys(pfn),
-                                    mem::PageFrameAllocator::kPageSize);
-  }
-  const std::lock_guard lock{mutex_};
-  idle_[TwinBoardKey::from_config(config)].push_back(std::move(board));
 }
 
 VictimBoardKey VictimBoardKey::from_config(const ScenarioConfig& config) {
@@ -204,18 +151,17 @@ ModelProfile ProfileCache::get_or_profile(const ScenarioConfig& config) {
 
     ModelProfile profile;
     std::exception_ptr error;
-    std::unique_ptr<TwinBoardPool::Board> board;
+    ScenarioConfig twin = config;
+    twin.system = twin_system_config(config);
+    std::unique_ptr<VictimBoardPool::Board> board;
     try {
-      board = pool_.acquire(config);
-      OfflineProfiler profiler{board->runtime, board->debugger};
-      profile = profiler.profile_model(config.model_name, config.image_width,
-                                       config.image_height,
-                                       config.attacker_uid);
+      board = victim_pool_.acquire(twin);
+      profile = profile_on(board->system, board->runtime, config);
     } catch (...) {
       error = std::current_exception();
-      board.reset();  // a half-profiled board is not reusable
     }
-    if (board) pool_.release(config, std::move(board));
+    // Parked even after a throw: acquire() reboots whatever state is left.
+    if (board) victim_pool_.release(twin, std::move(board));
 
     lock.lock();
     entry->profile = std::move(profile);

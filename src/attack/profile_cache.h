@@ -1,4 +1,4 @@
-// Cross-cell profile cache + shared twin-board pool.
+// Cross-cell profile cache + the one board pool behind it.
 //
 // Offline profiling is pure in (model, image geometry, layout policy):
 // the attacker's twin board is deterministic, and the profile records
@@ -18,17 +18,17 @@
 //     every later lookup of the key, matching the uncached behaviour of
 //     profile_on_twin_board throwing on each call.
 //
-// TwinBoardPool amortizes the other half of the offline phase: building
-// the attacker's os::PetaLinuxSystem (frame tables, runtime, debugger)
-// per profile. Boards are parked per board-key after use and scrubbed
-// (dirty free frames zeroed) on release so a reused board is
-// byte-equivalent to a fresh one for the next profile; a board whose
-// profile threw is discarded instead of parked.
+// Boards: profiles and trials draw from one VictimBoardPool. acquire()
+// reboots a parked board to exactly what a fresh boot of the requested
+// config would give, so a cache miss asks it for the twin config
+// (twin_system_config) and gets a fresh twin board, whatever the last
+// trial or profile left on it; the miss parks the board again
+// afterwards, also when the profile threw.
 // Cache observability lives on the obs metrics registry: the counters
-// cache.profile_hits / cache.profile_misses / cache.twin_boards_built /
-// cache.twin_boards_reused aggregate process-wide, and the campaign
-// runner snapshots per-sweep deltas into SweepReport's never-serialized
-// telemetry fields.
+// cache.profile_hits / cache.profile_misses / cache.victim_boards_built /
+// cache.victim_boards_reused aggregate process-wide, and the campaign
+// runner snapshots per-sweep hit/miss deltas into SweepReport's
+// never-serialized telemetry fields.
 #pragma once
 
 #include <condition_variable>
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "attack/scenario.h"
-#include "dbg/debugger.h"
 #include "os/system.h"
 #include "vitis/runtime.h"
 
@@ -78,40 +77,12 @@ struct ProfileKey {
   auto operator<=>(const ProfileKey&) const = default;
 };
 
-/// Pool of ready-to-profile attacker boards, keyed by TwinBoardKey so
-/// cache misses for distinct models on the same board shape reuse one
-/// another's boards while misses on different shapes (e.g. randomized vs
-/// sequential placement) never share state.
-class TwinBoardPool {
- public:
-  struct Board {
-    os::PetaLinuxSystem system;
-    vitis::VitisAiRuntime runtime;
-    dbg::SystemDebugger debugger;
-
-    Board(const os::SystemConfig& twin, os::Uid attacker_uid);
-  };
-
-  /// Reuses an idle board for this config's twin shape, or builds one.
-  [[nodiscard]] std::unique_ptr<Board> acquire(const ScenarioConfig& config);
-
-  /// Scrubs the board's residue (zeroing dirty free frames, which also
-  /// releases their sparse DRAM blocks) and parks it for reuse. Only
-  /// boards whose profile completed cleanly may be released; drop the
-  /// pointer instead after an exception.
-  void release(const ScenarioConfig& config, std::unique_ptr<Board> board);
-
- private:
-  std::mutex mutex_;
-  std::map<TwinBoardKey, std::vector<std::unique_ptr<Board>>> idle_;
-};
-
-/// Bucket identity for pooled victim boards: only the shape fields that
-/// size the board's tables (DRAM window + frame pool). Everything else —
-/// seed, placement, sanitize, clock — is reapplied by
-/// PetaLinuxSystem::reset() on acquire, so a stale-state reuse is
-/// impossible; bucketing merely keeps storage reuse on same-sized
-/// boards.
+/// Bucket identity for pooled boards, victim and twin alike: only the
+/// shape fields that size the board's tables (DRAM window + frame pool).
+/// Everything else — seed, placement, sanitize, proc access, clock — is
+/// reapplied by PetaLinuxSystem::reset() on acquire, so a stale-state
+/// reuse is impossible; bucketing merely keeps storage reuse on
+/// same-sized boards.
 struct VictimBoardKey {
   std::string board_name;
   dram::PhysAddr dram_base = 0;
@@ -123,16 +94,19 @@ struct VictimBoardKey {
   auto operator<=>(const VictimBoardKey&) const = default;
 };
 
-/// Pool of victim boards for run_scenario: the dominant per-trial
+/// The one pool of boards, for victim trials (run_scenario) and twin
+/// profiles (ProfileCache misses) alike: the dominant per-board
 /// allocations (sparse DRAM block map, frame table, free list) are
-/// reused across trials, and keeping the VitisAiRuntime alongside its
-/// board keeps the deserialized XModel cache warm across trials too.
-/// Unlike TwinBoardPool there is no scrub-on-release contract: acquire()
-/// reboots the board via reset(), which reproduces a fresh construction
-/// byte for byte, so boards may be parked in any state. Because a bucket
-/// holds only same-shape boards, that reboot costs O(what the last trial
-/// touched) — its DRAM blocks and allocated frames — not O(board): a few
-/// microseconds on ZCU104 instead of rebuilding the 128K-frame pool.
+/// reused, and keeping the VitisAiRuntime alongside its board keeps the
+/// deserialized XModel cache warm too. acquire() reboots the board via
+/// reset(), which reproduces a fresh construction of the requested
+/// config byte for byte, so boards may be parked in any state — dirty
+/// from a sanitize-free victim trial, half-way through a profile that
+/// threw — and a board serves a twin profile and a victim trial in
+/// turn. Because a bucket holds only same-shape boards, that reboot
+/// costs O(what the last user touched) — its DRAM blocks and allocated
+/// frames — not O(board): a few microseconds on ZCU104 instead of
+/// rebuilding the 128K-frame pool.
 class VictimBoardPool {
  public:
   struct Board {
@@ -158,13 +132,14 @@ class VictimBoardPool {
 
 /// Thread-safe memo of profile_on_twin_board. One instance is shared
 /// across every cell and trial of a campaign sweep; it also carries the
-/// victim-side trial caches (board pool + input memo) so everything the
-/// runner shares across trials lives behind one pointer.
+/// board pool (used by its own misses and by trials) and the victim-input
+/// memo, so everything the runner shares across trials lives behind one
+/// pointer.
 class ProfileCache {
  public:
-  /// Returns the profile for this config's key, profiling it on a pooled
-  /// twin board on first use. Rethrows a cached profiling failure on
-  /// every lookup of the failed key.
+  /// Returns the profile for this config's key, profiling it on first use
+  /// on a board from victim_boards() rebooted as the twin. Rethrows a
+  /// cached profiling failure on every lookup of the failed key.
   [[nodiscard]] ModelProfile get_or_profile(const ScenarioConfig& config);
 
   /// Memoized victim input (make_test_image + optional corruption) keyed
@@ -175,7 +150,7 @@ class ProfileCache {
   [[nodiscard]] std::shared_ptr<const img::Image> victim_input(
       const ScenarioConfig& config);
 
-  /// Pooled victim-board allocations shared across trials.
+  /// The board pool shared by trials and profile misses.
   [[nodiscard]] VictimBoardPool& victim_boards() noexcept {
     return victim_pool_;
   }
@@ -204,7 +179,6 @@ class ProfileCache {
   };
   static constexpr std::size_t kInputCacheCap = 64;
 
-  TwinBoardPool pool_;
   VictimBoardPool victim_pool_;
   mutable std::mutex mutex_;
   std::map<ProfileKey, std::shared_ptr<Entry>> entries_;

@@ -1,7 +1,6 @@
 #include "attack/scenario.h"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "attack/profile_cache.h"
@@ -67,15 +66,21 @@ img::Image make_victim_input(const ScenarioConfig& config) {
   return input;
 }
 
-ModelProfile profile_on_twin_board(const ScenarioConfig& config) {
-  os::PetaLinuxSystem board{twin_system_config(config)};
+ModelProfile profile_on(os::PetaLinuxSystem& board,
+                        vitis::VitisAiRuntime& runtime,
+                        const ScenarioConfig& config) {
   board.add_user(config.attacker_uid, "attacker");
-  vitis::VitisAiRuntime runtime{board};
   dbg::SystemDebugger dbg{board, config.attacker_uid,
                           dbg::DebuggerAcl{dbg::AclMode::kUnrestricted}};
   OfflineProfiler profiler{runtime, dbg};
   return profiler.profile_model(config.model_name, config.image_width,
                                 config.image_height, config.attacker_uid);
+}
+
+ModelProfile profile_on_twin_board(const ScenarioConfig& config) {
+  os::PetaLinuxSystem board{twin_system_config(config)};
+  vitis::VitisAiRuntime runtime{board};
+  return profile_on(board, runtime, config);
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
@@ -97,31 +102,24 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   }
 
   // ---- victim board -------------------------------------------------------
-  // Campaign runs (profile_cache set) draw the board from the shared pool:
-  // acquire() reboots a parked board to the exact state the fresh
-  // construction below would produce, reusing its DRAM-block, frame-table
-  // and XModel-cache storage across trials.
-  std::unique_ptr<VictimBoardPool::Board> pooled;
-  std::optional<os::PetaLinuxSystem> local_board;
-  std::optional<vitis::VitisAiRuntime> local_runtime;
-  if (profile_cache != nullptr) {
-    pooled = profile_cache->victim_boards().acquire(config);
-  } else {
-    local_board.emplace(config.system);
-    local_runtime.emplace(*local_board);
-  }
-  os::PetaLinuxSystem& board = pooled ? pooled->system : *local_board;
-  vitis::VitisAiRuntime& runtime = pooled ? pooled->runtime : *local_runtime;
-  // Park the pooled board on every exit path — early denial returns and
+  // Drawn from the cache's pool, or from one local to this call: acquire()
+  // boots the board to the exact state a fresh construction would have,
+  // and campaign runs reuse its DRAM-block, frame-table and XModel-cache
+  // storage across trials.
+  VictimBoardPool local_pool;
+  VictimBoardPool& pool =
+      profile_cache != nullptr ? profile_cache->victim_boards() : local_pool;
+  std::unique_ptr<VictimBoardPool::Board> pooled = pool.acquire(config);
+  os::PetaLinuxSystem& board = pooled->system;
+  vitis::VitisAiRuntime& runtime = pooled->runtime;
+  // Park the board on every exit path — early denial returns and
   // exceptions included. Any parked state is fine; acquire() reboots.
   struct ParkBoard {
-    ProfileCache* cache;
+    VictimBoardPool& pool;
     const ScenarioConfig& config;
     std::unique_ptr<VictimBoardPool::Board>& board;
-    ~ParkBoard() {
-      if (board) cache->victim_boards().release(config, std::move(board));
-    }
-  } park{profile_cache, config, pooled};
+    ~ParkBoard() { pool.release(config, std::move(board)); }
+  } park{pool, config, pooled};
 
   board.add_user(config.victim_uid, "victim");
   board.add_user(config.attacker_uid, "attacker");

@@ -108,9 +108,19 @@ class ProfileCache;
 /// attacker configures their board to be fully observable).
 [[nodiscard]] os::SystemConfig twin_system_config(const ScenarioConfig& config);
 
+/// Profiles `config.model_name` on `board`, which must be freshly booted
+/// from twin_system_config(config) with `runtime` on it: adds the
+/// attacker user, attaches an unrestricted debugger and runs
+/// OfflineProfiler. The one twin setup behind profile_on_twin_board and
+/// ProfileCache misses.
+[[nodiscard]] ModelProfile profile_on(os::PetaLinuxSystem& board,
+                                      vitis::VitisAiRuntime& runtime,
+                                      const ScenarioConfig& config);
+
 /// Profiles `model_name` on a fresh attacker-controlled board with the
 /// given placement policy (the rest of the config is forced vulnerable —
-/// the attacker owns that board). Shared by run_scenario and the examples.
+/// the attacker owns that board). The uncached reference that run_scenario
+/// without a cache, the examples and the cache tests use.
 [[nodiscard]] ModelProfile profile_on_twin_board(const ScenarioConfig& config);
 
 /// The victim's ground-truth input for this config: the deterministic test

@@ -115,8 +115,6 @@ CampaignRunner::CacheCounterSnapshot CampaignRunner::cache_counters() {
   return CacheCounterSnapshot{
       obs::counter("cache.profile_hits").value(),
       obs::counter("cache.profile_misses").value(),
-      obs::counter("cache.twin_boards_built").value(),
-      obs::counter("cache.twin_boards_reused").value(),
   };
 }
 
@@ -125,8 +123,6 @@ void CampaignRunner::fill_cache_stats(SweepReport& report,
   const CacheCounterSnapshot now = cache_counters();
   report.profile_cache_hits = now.hits - before.hits;
   report.profile_cache_misses = now.misses - before.misses;
-  report.twin_boards_built = now.boards_built - before.boards_built;
-  report.twin_boards_reused = now.boards_reused - before.boards_reused;
 }
 
 SweepReport CampaignRunner::run(const std::vector<CampaignCell>& cells) {

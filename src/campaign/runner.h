@@ -38,7 +38,7 @@ struct CampaignOptions {
   /// Salt folded into the per-trial reseeding (vary to get a fresh
   /// family of trials over the same grid).
   std::uint64_t trial_salt = 0xca3face0ULL;
-  /// Share one attack::ProfileCache (and its twin-board pool) across
+  /// Share one attack::ProfileCache (and its board pool) across
   /// every cell and trial of this runner's sweeps, so the offline
   /// profiling phase runs once per distinct (model, dims, layout) key
   /// instead of once per trial. Reports are byte-identical with the
@@ -127,13 +127,11 @@ class CampaignRunner {
                                                 nullptr);
 
  private:
-  /// Snapshot of the four profile-cache counters on the obs metrics
+  /// Snapshot of the profile-cache hit/miss counters on the obs metrics
   /// registry (process-wide; the runner reports per-run deltas).
   struct CacheCounterSnapshot {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t boards_built = 0;
-    std::uint64_t boards_reused = 0;
   };
   [[nodiscard]] static CacheCounterSnapshot cache_counters();
   /// Copies the cache-counter delta accumulated since `before` into the

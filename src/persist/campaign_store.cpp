@@ -74,24 +74,13 @@ StoreManifest decode_store_manifest(std::span<const std::uint8_t> payload) {
     m.axes = legacy_axis_schema();
     return m;
   }
-  // Every axis and every value takes at least one byte, so a count
-  // beyond the bytes left is damage: reject it before it sizes a reserve.
-  const auto checked_count = [&r](const char* what) {
-    const std::uint64_t count = r.varint();
-    if (count > r.remaining()) {
-      throw std::runtime_error("persist: store manifest " + std::string{what} +
-                               " count " + std::to_string(count) +
-                               " exceeds its payload");
-    }
-    return count;
-  };
-  const std::uint64_t axes = checked_count("axis");
+  const std::uint64_t axes = r.count("store manifest axis");
   m.axes.reserve(axes);
   for (std::uint64_t i = 0; i < axes; ++i) {
     campaign::AxisSpec spec;
     spec.name = r.str();
     spec.kind = static_cast<campaign::AxisKind>(r.u8());
-    const std::uint64_t values = checked_count("axis value");
+    const std::uint64_t values = r.count("store manifest axis value");
     spec.values.reserve(values);
     for (std::uint64_t j = 0; j < values; ++j) {
       spec.values.push_back(decode_axis_value(r));

@@ -1,6 +1,7 @@
 #include "persist/encoding.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace msa::persist {
 
@@ -64,6 +65,15 @@ std::string ByteReader::str() {
   std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
   return s;
+}
+
+std::uint64_t ByteReader::count(const char* what) {
+  const std::uint64_t n = varint();
+  if (n > remaining()) {
+    throw std::runtime_error("persist: " + std::string{what} + " count " +
+                             std::to_string(n) + " exceeds its payload");
+  }
+  return n;
 }
 
 }  // namespace msa::persist

@@ -89,6 +89,11 @@ class ByteReader {
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::string str();
+  /// A varint element count. Every element takes at least one byte, so a
+  /// count beyond the bytes left is damage: it throws std::runtime_error
+  /// "persist: <what> count N exceeds its payload" before the count can
+  /// size a reserve().
+  [[nodiscard]] std::uint64_t count(const char* what);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

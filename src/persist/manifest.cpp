@@ -75,7 +75,7 @@ std::optional<LevelsManifest> read_levels_manifest(
     out.identity = decode_store_manifest(std::span<const std::uint8_t>{
         reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()});
   }
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count("levels manifest segment");
   out.segments.reserve(n);
   std::uint64_t prev_sequence = 0;
   for (std::uint64_t i = 0; i < n; ++i) {

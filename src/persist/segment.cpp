@@ -283,7 +283,7 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
     ByteReader r{payload};
     const auto get_refs = [&](std::vector<BlockRef>& out,
                               std::uint64_t lo_offset) {
-      const std::uint64_t n = r.varint();
+      const std::uint64_t n = r.count("segment index block");
       out.reserve(n);
       std::uint64_t prev_end = lo_offset;
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -293,9 +293,15 @@ SegmentReader::SegmentReader(std::string path) : path_{std::move(path)} {
         ref.offset = r.varint();
         ref.frame_len = r.varint();
         ref.count = r.varint();
-        if (ref.offset < prev_end ||
-            ref.offset + ref.frame_len > index_offset) {
+        // Subtract, never add: a hostile offset + frame_len could wrap.
+        if (ref.offset < prev_end || ref.offset > index_offset ||
+            ref.frame_len > index_offset - ref.offset) {
           seg_error(path_, "index entry out of bounds");
+        }
+        // Every record takes at least one byte of its block, which also
+        // bounds the footer totals matched below (cells() reserves one).
+        if (ref.count > ref.frame_len) {
+          seg_error(path_, "index entry count exceeds its block");
         }
         prev_end = ref.offset + ref.frame_len;
         out.push_back(std::move(ref));
@@ -354,14 +360,14 @@ std::vector<SegmentReader::TrialGroup> SegmentReader::read_trial_block(
       read_frame_at(ref.offset, kSegTrialBlock);
   segment_blocks_read_counter().add();
   ByteReader r{payload};
-  const std::uint64_t groups = r.varint();
+  const std::uint64_t groups = r.count("segment trial-block group");
   std::vector<TrialGroup> out;
   out.reserve(groups);
   std::uint64_t trials = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
     TrialGroup group;
     group.key = get_blob(r);
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count("segment trial");
     group.trials.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::vector<std::uint8_t> bytes = get_blob(r);

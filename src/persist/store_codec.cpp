@@ -115,7 +115,7 @@ campaign::CellStats decode_cell_v2(std::span<const std::uint8_t> payload) {
   ByteReader r{payload};
   campaign::CellStats c;
   c.index = static_cast<std::size_t>(r.varint());
-  const std::uint64_t coords = r.varint();
+  const std::uint64_t coords = r.count("cell coordinate");
   c.coords.reserve(coords);
   for (std::uint64_t i = 0; i < coords; ++i) {
     std::string axis = r.str();
@@ -161,7 +161,7 @@ std::vector<std::uint8_t> encode_cell_key(
 std::vector<campaign::AxisCoordinate> decode_cell_key(
     std::span<const std::uint8_t> bytes) {
   ByteReader r{bytes};
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count("cell key coordinate");
   std::vector<campaign::AxisCoordinate> coords;
   coords.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

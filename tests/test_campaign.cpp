@@ -193,8 +193,7 @@ TEST(CampaignRunner, CachedAndUncachedReportsAreByteIdentical) {
 TEST(CampaignRunner, CacheCountersMatchGridShapeAndPersistAcrossRuns) {
   // 2 defenses share one twin-board shape, so keys = models(2) x
   // dims(1) x shape(1); every later run on the same runner is all-hits
-  // (the cache outlives run()), and each miss acquires exactly one
-  // board from the pool.
+  // (the cache outlives run()).
   const GridBuilder grid = small_grid();
   CampaignOptions options = make_options(4, 2);
   CampaignRunner runner{options};
@@ -202,14 +201,10 @@ TEST(CampaignRunner, CacheCountersMatchGridShapeAndPersistAcrossRuns) {
   const SweepReport first = runner.run(grid);
   EXPECT_EQ(first.profile_cache_misses, 2u);
   EXPECT_EQ(first.profile_cache_hits, 14u);
-  EXPECT_EQ(first.twin_boards_built + first.twin_boards_reused,
-            first.profile_cache_misses);
-  EXPECT_GE(first.twin_boards_built, 1u);
 
   const SweepReport second = runner.run(grid);
   EXPECT_EQ(second.profile_cache_misses, 0u);
   EXPECT_EQ(second.profile_cache_hits, 16u);
-  EXPECT_EQ(second.twin_boards_built, 0u);
   EXPECT_EQ(first.to_csv(), second.to_csv());
 }
 

@@ -1,7 +1,8 @@
 // Profile-cache tests: key discrimination, the per-key once-latch under
-// concurrency, twin-board-pool reuse purity (a reused board must yield
-// the same profile a fresh board would), seed invariance (the property
-// that makes caching across reseeded trials sound), and failure caching.
+// concurrency, board-pool reuse purity (a board that a profile or a
+// victim trial left behind must yield the same profile, and the same
+// trial, a fresh board would), seed invariance (the property that makes
+// caching across reseeded trials sound), and failure caching.
 //
 // Cache observability lives on the process-wide obs metrics registry, so
 // these tests assert DELTAS of the cache.* counters around each
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,8 +26,8 @@
 namespace msa::attack {
 namespace {
 
-/// Snapshot of the four cache.* registry counters; subtract two
-/// snapshots to get the traffic a code region generated.
+/// Snapshot of the profile and board-pool cache.* registry counters;
+/// subtract two snapshots to get the traffic a code region generated.
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -34,8 +37,8 @@ struct CacheCounters {
   static CacheCounters now() {
     return CacheCounters{obs::counter("cache.profile_hits").value(),
                          obs::counter("cache.profile_misses").value(),
-                         obs::counter("cache.twin_boards_built").value(),
-                         obs::counter("cache.twin_boards_reused").value()};
+                         obs::counter("cache.victim_boards_built").value(),
+                         obs::counter("cache.victim_boards_reused").value()};
   }
 
   [[nodiscard]] CacheCounters operator-(const CacheCounters& base) const {
@@ -186,8 +189,9 @@ TEST(ProfileCache, ConcurrentMissesOnOneKeyProfileExactlyOnce) {
 
 TEST(ProfileCache, DistinctModelsMissSeparatelyAndReuseBoards) {
   // Sequential misses on the same board shape: the second model must
-  // profile on the first's parked (scrubbed) board and still match a
-  // fresh-board profile bit for bit — the pool-reuse purity property.
+  // profile on the first's parked board, rebooted by acquire(), and still
+  // match a fresh-board profile bit for bit — the pool-reuse purity
+  // property.
   ProfileCache cache;
   ScenarioConfig cfg = small_config();
   const CacheCounters before = CacheCounters::now();
@@ -206,18 +210,23 @@ TEST(ProfileCache, DistinctModelsMissSeparatelyAndReuseBoards) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(ProfileCache, DifferentPlacementNeverSharesBoards) {
+TEST(ProfileCache, DifferentPlacementSharesOneBoardAndMatchesFresh) {
+  // Placement is a reset() input, not part of the pool's bucket key: the
+  // randomized profile reuses the sequential profile's board, and the
+  // reboot leaves nothing of the first layout behind.
   ProfileCache cache;
   ScenarioConfig sequential = small_config();
   ScenarioConfig randomized =
       defense::preset("physical_aslr").apply(small_config());
   const CacheCounters before = CacheCounters::now();
-  (void)cache.get_or_profile(sequential);
-  (void)cache.get_or_profile(randomized);
+  expect_same_profile(cache.get_or_profile(sequential),
+                      profile_on_twin_board(sequential));
+  expect_same_profile(cache.get_or_profile(randomized),
+                      profile_on_twin_board(randomized));
   const CacheCounters delta = CacheCounters::now() - before;
   EXPECT_EQ(delta.misses, 2u);
-  EXPECT_EQ(delta.boards_built, 2u);
-  EXPECT_EQ(delta.boards_reused, 0u);
+  EXPECT_EQ(delta.boards_built, 1u);
+  EXPECT_EQ(delta.boards_reused, 1u);
 }
 
 TEST(ProfileCache, ProfilingFailureIsCachedAndRethrown) {
@@ -234,14 +243,37 @@ TEST(ProfileCache, ProfilingFailureIsCachedAndRethrown) {
   const CacheCounters delta = CacheCounters::now() - before;
   EXPECT_EQ(delta.misses, 1u);
   EXPECT_EQ(delta.hits, 1u);
-  // The half-profiled board was discarded, not parked.
-  EXPECT_EQ(delta.boards_built, 1u);
-  EXPECT_EQ(delta.boards_reused, 0u);
 
-  // A healthy key still works after a failed one.
+  // A healthy key still works after a failed one, on the board the
+  // failed profile parked.
   ScenarioConfig good = small_config();
   expect_same_profile(cache.get_or_profile(good),
                       profile_on_twin_board(good));
+  const CacheCounters after_good = CacheCounters::now() - before;
+  EXPECT_EQ(after_good.boards_built, 1u);
+  EXPECT_EQ(after_good.boards_reused, 1u);
+}
+
+void expect_same_result(const ScenarioResult& with,
+                        const ScenarioResult& without,
+                        const std::string& label) {
+  EXPECT_EQ(with.denied, without.denied) << label;
+  EXPECT_EQ(with.denial_reason, without.denial_reason) << label;
+  EXPECT_EQ(with.model_identified_correctly,
+            without.model_identified_correctly)
+      << label;
+  EXPECT_DOUBLE_EQ(with.pixel_match, without.pixel_match) << label;
+  EXPECT_DOUBLE_EQ(with.psnr, without.psnr) << label;
+  EXPECT_DOUBLE_EQ(with.descriptor_pixel_match,
+                   without.descriptor_pixel_match)
+      << label;
+  EXPECT_EQ(with.report.identified_model, without.report.identified_model)
+      << label;
+  EXPECT_EQ(with.report.signature_hits, without.report.signature_hits)
+      << label;
+  EXPECT_EQ(with.report.devmem_reads, without.report.devmem_reads) << label;
+  EXPECT_EQ(with.report.residue_bytes, without.report.residue_bytes) << label;
+  EXPECT_EQ(with.report.transcript, without.report.transcript) << label;
 }
 
 TEST(ProfileCache, RunScenarioWithCacheMatchesWithout) {
@@ -251,19 +283,60 @@ TEST(ProfileCache, RunScenarioWithCacheMatchesWithout) {
   for (const char* preset : {"baseline", "dbg_disabled"}) {
     const ScenarioConfig cfg =
         defense::preset(preset).apply(small_config());
-    const ScenarioResult with = run_scenario(cfg, &cache);
-    const ScenarioResult without = run_scenario(cfg);
-    EXPECT_EQ(with.denied, without.denied) << preset;
-    EXPECT_EQ(with.denial_reason, without.denial_reason) << preset;
-    EXPECT_EQ(with.model_identified_correctly,
-              without.model_identified_correctly)
-        << preset;
-    EXPECT_DOUBLE_EQ(with.pixel_match, without.pixel_match) << preset;
-    EXPECT_DOUBLE_EQ(with.psnr, without.psnr) << preset;
-    EXPECT_DOUBLE_EQ(with.descriptor_pixel_match,
-                     without.descriptor_pixel_match)
-        << preset;
+    expect_same_result(run_scenario(cfg, &cache), run_scenario(cfg), preset);
   }
+}
+
+TEST(ProfileCache, ProfilesAndTrialsShareBoardsBothWays) {
+  // One pool serves twin profiles and victim trials, so each side must
+  // be immune to what the other parks. A sanitize-free, randomized
+  // placement trial leaves its victim's residue scattered over the
+  // board; a profile taken next on that board must equal a fresh twin's.
+  // And a trial on the board that profile left must equal a trial on a
+  // fresh board.
+  ScenarioConfig dirty = defense::preset("physical_aslr").apply(small_config());
+  dirty.system.sanitize = mem::SanitizePolicy::kNone;
+  ScenarioConfig other_model = dirty;
+  other_model.model_name = "squeezenet_pt";
+  // Same profile key as other_model (the seed is not part of it). A
+  // post-mortem sweep reads free frames too, so it would see any residue
+  // the profile left behind.
+  ScenarioConfig trial = other_model;
+  trial.system.seed ^= 0x5151ULL;
+  trial.post_mortem_scan = true;
+  // Fresh-board references first: uncached runs build boards of their
+  // own, which the counter window below must not see.
+  const ScenarioResult dirty_fresh = run_scenario(dirty);
+  const ModelProfile other_model_fresh = profile_on_twin_board(other_model);
+  const ScenarioResult trial_fresh = run_scenario(trial);
+
+  ProfileCache cache;
+  const CacheCounters before = CacheCounters::now();
+  expect_same_result(run_scenario(dirty, &cache), dirty_fresh,
+                     "dirtying trial");
+  // Taken as a twin, the board that trial parked holds exactly the DRAM
+  // a fresh twin boots with: none of the victim's residue survives.
+  {
+    ScenarioConfig twin = dirty;
+    twin.system = twin_system_config(dirty);
+    const dram::DramConfig& window = twin.system.board;
+    std::unique_ptr<VictimBoardPool::Board> board =
+        cache.victim_boards().acquire(twin);
+    const os::PetaLinuxSystem fresh{twin.system};
+    EXPECT_EQ(board->system.dram().checksum(window.base, window.size),
+              fresh.dram().checksum(window.base, window.size));
+    cache.victim_boards().release(twin, std::move(board));
+  }
+  expect_same_profile(cache.get_or_profile(other_model), other_model_fresh);
+  // A profile hit, so the trial runs on the board the miss above parked.
+  expect_same_result(run_scenario(trial, &cache), trial_fresh,
+                     "trial after profile");
+
+  // Single-threaded, so every acquire after the first reused one board.
+  const CacheCounters delta = CacheCounters::now() - before;
+  EXPECT_EQ(delta.boards_built, 1u);
+  EXPECT_EQ(delta.boards_reused, 4u);
+  EXPECT_EQ(delta.misses, 2u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,7 +26,9 @@
 #include "campaign/stats.h"
 #include "obs/metrics.h"
 #include "persist/campaign_store.h"
+#include "persist/encoding.h"
 #include "persist/manifest.h"
+#include "persist/record_io.h"
 #include "persist/store_codec.h"
 #include "persist/store_reader.h"
 
@@ -185,6 +188,88 @@ std::string error_of(Fn&& fn) {
   return "";
 }
 
+// Frame types and footer magic as segment.cpp and manifest.cpp write
+// them, so the hostile-input tests can frame payloads of their own.
+constexpr std::uint8_t kSegHeaderType = 20;
+constexpr std::uint8_t kSegTrialBlockType = 21;
+constexpr std::uint8_t kSegCellBlockType = 22;
+constexpr std::uint8_t kSegIndexType = 23;
+constexpr std::uint8_t kSegFooterType = 24;
+constexpr std::uint8_t kLevelsRecordType = 30;
+constexpr std::uint64_t kSegFooterMagic = 0x314647455341534dULL;
+
+/// A count no payload of a test file can back: reserving that many
+/// elements would throw std::bad_alloc (or std::length_error).
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
+
+std::string as_blob(std::span<const std::uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// One block of a raw segment: its payload and the record count the
+/// index claims for it.
+struct RawBlock {
+  std::vector<std::uint8_t> payload;
+  std::uint64_t count = 1;
+};
+
+/// Writes a segment laid out as write_segment lays one out (header,
+/// trial blocks, cell blocks, index, footer) with every frame CRC-valid,
+/// so only the decoders' own checks stand between a hostile payload and
+/// the reader. The index lists each block under cell 0's key with its
+/// claimed count, unless `index` replaces the index payload; the footer
+/// totals match the claimed counts.
+void write_raw_segment(const std::string& path,
+                       const std::vector<RawBlock>& trial_blocks,
+                       const std::vector<RawBlock>& cell_blocks,
+                       const ByteWriter* index = nullptr) {
+  RecordWriter writer{path, RecordWriter::Mode::kTruncate};
+  std::uint64_t offset = kRecordMagic.size();
+  const auto append = [&](std::uint8_t type,
+                          std::span<const std::uint8_t> payload) {
+    writer.append(type, payload);
+    const std::uint64_t at = offset;
+    offset += 8 + 1 + payload.size();
+    return at;
+  };
+  ByteWriter header;
+  header.u32(kSegmentFormatVersion);
+  header.u32(0);  // level
+  header.u64(1);  // sequence
+  header.str(as_blob(encode_store_manifest(synth_manifest(1, 1))));
+  append(kSegHeaderType, header.bytes());
+
+  const std::vector<std::uint8_t> key = encode_cell_key(synth_coords(0));
+  ByteWriter refs;
+  std::uint64_t totals[2] = {0, 0};
+  for (const int kind : {0, 1}) {
+    const std::vector<RawBlock>& blocks = kind == 0 ? trial_blocks : cell_blocks;
+    refs.varint(blocks.size());
+    for (const RawBlock& block : blocks) {
+      const std::uint64_t at = append(
+          kind == 0 ? kSegTrialBlockType : kSegCellBlockType, block.payload);
+      refs.str(as_blob(key));
+      refs.varint(at);
+      refs.varint(8 + 1 + block.payload.size());
+      refs.varint(block.count);
+      totals[kind] += block.count;
+    }
+  }
+  const std::uint64_t index_offset =
+      append(kSegIndexType, (index != nullptr ? *index : refs).bytes());
+
+  ByteWriter footer;
+  footer.u64(kSegFooterMagic);
+  footer.u32(kSegmentFormatVersion);
+  footer.u32(0);
+  footer.u64(1);
+  footer.u64(index_offset);
+  footer.u64(totals[0]);
+  footer.u64(totals[1]);
+  append(kSegFooterType, footer.bytes());
+  writer.flush();
+}
+
 /// The three stats renderings at once — "byte-identical" means all of
 /// text, CSV and JSON.
 std::string stats_bytes(const std::string& path,
@@ -311,6 +396,101 @@ TEST(Segment, DamagedLevelsSidecarIsRejectedByName) {
         << e.what();
   }
   EXPECT_THROW((void)StoreReader{path}, std::runtime_error);
+}
+
+TEST(Segment, HostileCountsAreRejectedByNameNotAllocated) {
+  // Every count a segment decoder reserves for comes from a CRC-valid
+  // frame, so a CRC proves nothing about it. Each case claims 2^40
+  // elements in a payload of a few bytes; each must throw its named
+  // error — never std::bad_alloc, which error_of would not catch.
+  const std::string path = tmp_path("hostile.seg");
+  const std::vector<std::uint8_t> key = encode_cell_key(synth_coords(0));
+  const auto bytes_of = [](const ByteWriter& w) {
+    return std::vector<std::uint8_t>{w.bytes().begin(), w.bytes().end()};
+  };
+  const auto open_and_read = [&] {
+    const SegmentReader reader{path};
+    (void)reader.cells();
+    for (std::size_t b = 0; b < reader.trial_block_count(); ++b) {
+      (void)reader.read_trial_block(b);
+    }
+  };
+
+  // Index: trial-block refs.
+  ByteWriter index;
+  index.varint(kHugeCount);
+  write_raw_segment(path, {}, {}, &index);
+  EXPECT_NE(error_of(open_and_read).find("persist: segment index block count"),
+            std::string::npos);
+
+  // Index: a ref's first key (decode_cell_key).
+  ByteWriter hostile_key;
+  hostile_key.varint(kHugeCount);
+  index.clear();
+  index.varint(1);
+  index.str(as_blob(hostile_key.bytes()));
+  write_raw_segment(path, {}, {}, &index);
+  EXPECT_NE(error_of(open_and_read).find("persist: cell key coordinate count"),
+            std::string::npos);
+
+  // Index: a block claiming more records than it has bytes, for trials
+  // and for cells (whose footer total sizes cells()'s reserve).
+  ByteWriter group;
+  group.varint(1);
+  group.str(as_blob(key));
+  group.varint(0);
+  write_raw_segment(path, {{bytes_of(group), kHugeCount}}, {});
+  EXPECT_NE(error_of(open_and_read).find("index entry count exceeds its block"),
+            std::string::npos);
+  ByteWriter one_cell;
+  one_cell.varint(1);
+  one_cell.str(as_blob(encode_cell(synth_stats(0, 1))));
+  write_raw_segment(path, {}, {{bytes_of(one_cell), kHugeCount}});
+  EXPECT_NE(error_of(open_and_read).find("index entry count exceeds its block"),
+            std::string::npos);
+
+  // Trial block: groups, then trials in one group.
+  ByteWriter groups;
+  groups.varint(kHugeCount);
+  write_raw_segment(path, {{bytes_of(groups), 1}}, {});
+  EXPECT_NE(
+      error_of(open_and_read).find("persist: segment trial-block group count"),
+      std::string::npos);
+  ByteWriter trials;
+  trials.varint(1);
+  trials.str(as_blob(key));
+  trials.varint(kHugeCount);
+  write_raw_segment(path, {{bytes_of(trials), 1}}, {});
+  EXPECT_NE(error_of(open_and_read).find("persist: segment trial count"),
+            std::string::npos);
+
+  // Cell block: one cell's coordinates (decode_cell_v2).
+  ByteWriter coords;
+  coords.varint(0);  // cell index
+  coords.varint(kHugeCount);
+  ByteWriter cell_block;
+  cell_block.varint(1);
+  cell_block.str(as_blob(coords.bytes()));
+  write_raw_segment(path, {}, {{bytes_of(cell_block), 1}});
+  EXPECT_NE(error_of(open_and_read).find("persist: cell coordinate count"),
+            std::string::npos);
+}
+
+TEST(Segment, HostileLevelsSidecarCountIsRejectedByName) {
+  const std::string path = tmp_path("hostile_levels.store");
+  ByteWriter levels;
+  levels.u32(kLevelsManifestFormatVersion);
+  levels.u64(1);  // generation
+  levels.str(as_blob(encode_store_manifest(synth_manifest(1, 1))));
+  levels.varint(kHugeCount);
+  {
+    RecordWriter writer{levels_manifest_path(path),
+                        RecordWriter::Mode::kTruncate};
+    writer.append(kLevelsRecordType, levels.bytes());
+  }
+  EXPECT_NE(error_of([&] { (void)read_levels_manifest(path); })
+                .find("persist: levels manifest segment count"),
+            std::string::npos);
 }
 
 TEST(Segment, CompactionKeepsStatsByteIdenticalAtScale) {
