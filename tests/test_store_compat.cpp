@@ -101,6 +101,44 @@ TEST(StoreCompat, V1StatsOutputIsByteIdenticalToPreRefactorBinary) {
             read_file(data_path("golden_v1_stats.json")));
 }
 
+TEST(StoreCompat, V1MergeReportIsByteIdenticalToGolden) {
+  // golden_v1_merge.{csv,json} are `campaign_sweep merge --csv --json`
+  // over the golden store; the files hold to_csv()/to_json() verbatim.
+  const campaign::SweepReport report =
+      merge_stores({data_path("golden_v1_4axis.store")});
+  EXPECT_EQ(report.to_csv(), read_file(data_path("golden_v1_merge.csv")));
+  EXPECT_EQ(report.to_json(), read_file(data_path("golden_v1_merge.json")));
+}
+
+TEST(StoreCompat, DiffOutputIsByteIdenticalToGoldenInBothOrders) {
+  // golden_diff_<A>_vs_<B>.{txt,csv,json} are `campaign_sweep diff
+  // --format ...` of the v1 store against the gate baseline store: 4
+  // matched cells, 4 one-sided cells (B-only in one order, A-only in the
+  // other) and 6 matched marginals.
+  const campaign::StatsReport v1 = campaign::analyze_sweep(
+      load_sweep({data_path("golden_v1_4axis.store")}));
+  const campaign::StatsReport gate = campaign::analyze_sweep(
+      load_sweep({data_path("golden_gate_baseline.store")}));
+  const struct {
+    const campaign::StatsReport* a;
+    const campaign::StatsReport* b;
+    std::string stem;
+  } orders[] = {{&v1, &gate, "golden_diff_v1_vs_gate"},
+                {&gate, &v1, "golden_diff_gate_vs_v1"}};
+  for (const auto& order : orders) {
+    SCOPED_TRACE(order.stem);
+    const campaign::DiffReport diff = campaign::diff_sweeps(*order.a, *order.b);
+    EXPECT_EQ(diff.cells.size(), 4u);
+    EXPECT_EQ(diff.only_in_a.size() + diff.only_in_b.size(), 4u);
+    EXPECT_EQ(diff.marginals.size(), 6u);
+    const std::string stem = data_path(order.stem.c_str());
+    EXPECT_EQ(diff.to_text(), read_file(stem + ".txt"));
+    EXPECT_EQ(diff.to_csv(), read_file(stem + ".csv"));
+    // The CLI terminates JSON output with one newline; to_json() does not.
+    EXPECT_EQ(diff.to_json() + "\n", read_file(stem + ".json"));
+  }
+}
+
 TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
   // Re-run the golden grid with today's binary into a v2 store, then
   // cross-version diff: every cell must pair on the legacy axes with
