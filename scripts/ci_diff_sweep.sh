@@ -244,6 +244,8 @@ for sub in merge stats; do
 done
 expect_usage diff "$tmp/a.store"
 expect_usage diff "$tmp/a.store" "$tmp/a.store" "$tmp/a.store"
+# A --cells clause on an unknown axis is a usage error, not zero cells.
+expect_usage stats --cells delya_s=5 "$tmp/a.store"
 expect_usage progress
 expect_usage progress --once
 expect_usage compact

@@ -405,7 +405,7 @@ std::string check_axis_value(const AxisDescriptor& axis,
   return "";
 }
 
-AxisValue parse_axis_value(const AxisDescriptor& axis,
+AxisValue parse_axis_token(const AxisDescriptor& axis,
                            const std::string& text) {
   AxisValue value;
   switch (axis.kind) {
@@ -436,6 +436,12 @@ AxisValue parse_axis_value(const AxisDescriptor& axis,
       break;
     }
   }
+  return value;
+}
+
+AxisValue parse_axis_value(const AxisDescriptor& axis,
+                           const std::string& text) {
+  AxisValue value = parse_axis_token(axis, text);
   const std::string err = check_axis_value(axis, value);
   if (!err.empty()) throw std::invalid_argument("campaign: " + err);
   return value;

@@ -130,10 +130,17 @@ struct AxisDescriptor {
 /// axis names in the message) for an unknown name.
 [[nodiscard]] const AxisDescriptor& axis_descriptor(const std::string& name);
 
-/// Parses one CLI token into a typed value for `axis` (strtod for
-/// doubles, 0/1/true/false for bools, the label set for enums) and runs
-/// the axis validator. Throws std::invalid_argument with the axis name
-/// and offending token on any failure.
+/// Parses one CLI token into a typed value for `axis` by kind alone
+/// (strtod for doubles, 0/1/true/false for bools, the token itself for
+/// strings and enums), without the axis validator: a cell filter may
+/// name any value a store holds. Throws std::invalid_argument with the
+/// axis name and offending token when the token is not of the kind.
+[[nodiscard]] AxisValue parse_axis_token(const AxisDescriptor& axis,
+                                         const std::string& text);
+
+/// parse_axis_token plus the axis validator (the enum label set
+/// included). Throws std::invalid_argument with the axis name and
+/// offending token on any failure.
 [[nodiscard]] AxisValue parse_axis_value(const AxisDescriptor& axis,
                                          const std::string& text);
 

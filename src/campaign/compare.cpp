@@ -507,125 +507,15 @@ std::vector<std::string> csv_axis_union(const DiffReport& r) {
 
 }  // namespace
 
-std::string DiffReport::to_csv() const {
-  const std::vector<std::string> axes = csv_axis_union(*this);
-  std::vector<Column> columns{{"section"}};
-  for (const std::string& axis : axes) columns.push_back({axis});
-  for (const char* name :
-       {"axis", "value", "index_a", "index_b", "trials_a", "trials_b",
-        "successes_a", "successes_b", "denials_a", "denials_b",
-        "success_rate_a", "success_rate_b", "success_delta", "delta_ci95_low",
-        "delta_ci95_high", "significant", "p_value", "p_value_fdr",
-        "significant_fdr", "denial_rate_a", "denial_rate_b", "denial_delta",
-        "p50_shift", "p90_shift", "p99_shift", "mean_psnr_shift"}) {
-    columns.push_back({name});
-  }
-  Table t{std::move(columns)};
-  for (const CellDelta& d : cells) {
-    std::vector<Cell> row{str_cell("cell")};
-    for (const std::string& axis : axes) {
-      row.push_back(coord_cell(d.key.coords, axis));
-    }
-    row.push_back(empty_cell());  // axis
-    row.push_back(empty_cell());  // value
-    row.push_back(count_cell(d.index_a));
-    row.push_back(count_cell(d.index_b));
-    row.push_back(count_cell(d.trials_a));
-    row.push_back(count_cell(d.trials_b));
-    row.push_back(count_cell(d.successes_a));
-    row.push_back(count_cell(d.successes_b));
-    row.push_back(count_cell(d.denials_a));
-    row.push_back(count_cell(d.denials_b));
-    row.push_back(num_cell(d.success_rate_a));
-    row.push_back(num_cell(d.success_rate_b));
-    row.push_back(num_cell(d.success_delta));
-    row.push_back(num_cell(d.success_delta_ci.low));
-    row.push_back(num_cell(d.success_delta_ci.high));
-    row.push_back(bool_cell(d.significant));
-    row.push_back(num_cell(d.p_value));
-    row.push_back(num_cell(d.p_value_fdr));
-    row.push_back(bool_cell(d.significant_fdr));
-    row.push_back(num_cell(d.denial_rate_a));
-    row.push_back(num_cell(d.denial_rate_b));
-    row.push_back(num_cell(d.denial_delta));
-    row.push_back(num_cell(d.p50_shift));
-    row.push_back(num_cell(d.p90_shift));
-    row.push_back(num_cell(d.p99_shift));
-    row.push_back(empty_cell());  // mean_psnr_shift
-    t.add_row(std::move(row));
-  }
-  auto add_unmatched = [&](const char* section,
-                           const std::vector<CellDistribution>& side,
-                           bool is_a) {
-    for (const CellDistribution& c : side) {
-      std::vector<Cell> row{str_cell(section)};
-      for (const std::string& axis : axes) {
-        row.push_back(coord_cell(c.coords, axis));
-      }
-      row.push_back(empty_cell());  // axis
-      row.push_back(empty_cell());  // value
-      // index / trials / successes / denials / success_rate land in the
-      // matching side's columns; the partner side stays empty.
-      auto pair = [&](Cell value) {
-        row.push_back(is_a ? value : empty_cell());
-        row.push_back(is_a ? empty_cell() : value);
-      };
-      pair(count_cell(c.index));
-      pair(count_cell(c.trials));
-      pair(count_cell(c.successes));
-      pair(count_cell(c.denials));
-      pair(num_cell(c.success_rate));
-      // No delta / significance columns for a one-sided cell.
-      for (int i = 0; i < 7; ++i) row.push_back(empty_cell());
-      pair(num_cell(rate(c.denials, c.trials)));
-      for (int i = 0; i < 5; ++i) row.push_back(empty_cell());
-      t.add_row(std::move(row));
-    }
-  };
-  add_unmatched("only_in_a", only_in_a, true);
-  add_unmatched("only_in_b", only_in_b, false);
-  for (const AxisDelta& d : marginals) {
-    std::vector<Cell> row{str_cell("axis")};
-    for (std::size_t i = 0; i < axes.size(); ++i) row.push_back(empty_cell());
-    row.push_back(str_cell(d.axis));
-    row.push_back(str_cell(d.value));
-    row.push_back(empty_cell());  // index_a
-    row.push_back(empty_cell());  // index_b
-    row.push_back(count_cell(d.trials_a));
-    row.push_back(count_cell(d.trials_b));
-    row.push_back(count_cell(d.successes_a));
-    row.push_back(count_cell(d.successes_b));
-    row.push_back(count_cell(d.denials_a));
-    row.push_back(count_cell(d.denials_b));
-    row.push_back(num_cell(d.success_rate_a));
-    row.push_back(num_cell(d.success_rate_b));
-    row.push_back(num_cell(d.success_delta));
-    row.push_back(num_cell(d.success_delta_ci.low));
-    row.push_back(num_cell(d.success_delta_ci.high));
-    row.push_back(bool_cell(d.significant));
-    // Marginals carry only the raw flag: FDR is corrected over the cell
-    // family, and mixing the pooled marginal tests into it would change
-    // what "the family" means.
-    row.push_back(empty_cell());  // p_value
-    row.push_back(empty_cell());  // p_value_fdr
-    row.push_back(empty_cell());  // significant_fdr
-    row.push_back(empty_cell());  // denial_rate_a
-    row.push_back(empty_cell());  // denial_rate_b
-    row.push_back(num_cell(d.denial_delta));
-    row.push_back(empty_cell());  // p50_shift
-    row.push_back(empty_cell());  // p90_shift
-    row.push_back(empty_cell());  // p99_shift
-    row.push_back(num_cell(d.mean_psnr_shift));
-    t.add_row(std::move(row));
-  }
-  return t.to_csv();
-}
+namespace {
 
-std::string DiffReport::to_json() const {
-  const std::vector<std::string> matched_axes =
-      shared_axes.empty() ? legacy_axis_names() : shared_axes;
-  std::vector<Column> cell_columns;
-  for (const std::string& axis : matched_axes) cell_columns.push_back({axis});
+/// The `cells` section: the JSON array and the CSV's cell rows.
+Table cell_delta_table(const DiffReport& r) {
+  std::vector<Column> columns;
+  for (const std::string& axis :
+       r.shared_axes.empty() ? legacy_axis_names() : r.shared_axes) {
+    columns.push_back({axis});
+  }
   for (const char* name :
        {"index_a", "index_b", "trials_a", "trials_b", "successes_a",
         "successes_b", "denials_a", "denials_b", "success_rate_a",
@@ -633,13 +523,13 @@ std::string DiffReport::to_json() const {
         "significant", "p_value", "p_value_fdr", "significant_fdr",
         "denial_rate_a", "denial_rate_b", "denial_delta", "p50_shift",
         "p90_shift", "p99_shift"}) {
-    cell_columns.push_back({name});
+    columns.push_back({name});
   }
-  Table cell_table{std::move(cell_columns)};
-  for (const CellDelta& d : cells) {
+  Table t{std::move(columns)};
+  for (const CellDelta& d : r.cells) {
     std::vector<Cell> row;
-    for (const std::string& axis : matched_axes) {
-      row.push_back(coord_cell(d.key.coords, axis));
+    for (const AxisCoordinate& coord : d.key.coords) {
+      row.push_back(axis_value_cell(coord.value));
     }
     row.push_back(count_cell(d.index_a));
     row.push_back(count_cell(d.index_b));
@@ -664,57 +554,95 @@ std::string DiffReport::to_json() const {
     row.push_back(num_cell(d.p50_shift));
     row.push_back(num_cell(d.p90_shift));
     row.push_back(num_cell(d.p99_shift));
-    cell_table.add_row(std::move(row));
+    t.add_row(std::move(row));
   }
-  auto side_table = [](const std::vector<CellDistribution>& side) {
-    const std::vector<std::string> axes = side_axes(side);
-    std::vector<Column> columns{{"index"}};
-    for (const std::string& axis : axes) columns.push_back({axis});
-    for (const char* name :
-         {"trials", "successes", "denials", "success_rate"}) {
-      columns.push_back({name});
-    }
-    Table t{std::move(columns)};
-    for (const CellDistribution& c : side) {
-      std::vector<Cell> row{count_cell(c.index)};
-      for (const std::string& axis : axes) {
-        row.push_back(coord_cell(c.coords, axis));
-      }
-      row.push_back(count_cell(c.trials));
-      row.push_back(count_cell(c.successes));
-      row.push_back(count_cell(c.denials));
-      row.push_back(num_cell(c.success_rate));
-      t.add_row(std::move(row));
-    }
-    return t;
-  };
-  Table marginal_table{{{"axis"},           {"value"},
-                        {"trials_a"},       {"trials_b"},
-                        {"successes_a"},    {"successes_b"},
-                        {"denials_a"},      {"denials_b"},
-                        {"success_rate_a"}, {"success_rate_b"},
-                        {"success_delta"},  {"delta_ci95_low"},
-                        {"delta_ci95_high"}, {"significant"},
-                        {"denial_delta"},   {"mean_psnr_shift"}}};
-  for (const AxisDelta& d : marginals) {
-    marginal_table.add_row(
-        {str_cell(d.axis), str_cell(d.value), count_cell(d.trials_a),
-         count_cell(d.trials_b), count_cell(d.successes_a),
-         count_cell(d.successes_b), count_cell(d.denials_a),
-         count_cell(d.denials_b), num_cell(d.success_rate_a),
-         num_cell(d.success_rate_b), num_cell(d.success_delta),
-         num_cell(d.success_delta_ci.low),
-         num_cell(d.success_delta_ci.high), bool_cell(d.significant),
-         num_cell(d.denial_delta), num_cell(d.mean_psnr_shift)});
-  }
+  return t;
+}
 
+/// One side's unmatched cells. The JSON array names its columns plainly
+/// ("trials"); the CSV shares one header with the matched cells, so
+/// there `suffix` ("_a"/"_b") puts each value under its side's column
+/// and a denial_rate column joins.
+Table side_table(const std::vector<CellDistribution>& side,
+                 const std::string& suffix = "") {
+  const bool csv = !suffix.empty();
+  const std::vector<std::string> axes = side_axes(side);
+  std::vector<Column> columns{{"index" + suffix}};
+  for (const std::string& axis : axes) columns.push_back({axis});
+  for (const char* name : {"trials", "successes", "denials", "success_rate"}) {
+    columns.push_back({name + suffix});
+  }
+  if (csv) columns.push_back({"denial_rate" + suffix});
+  Table t{std::move(columns)};
+  for (const CellDistribution& c : side) {
+    std::vector<Cell> row{count_cell(c.index)};
+    for (const std::string& axis : axes) {
+      row.push_back(coord_cell(c.coords, axis));
+    }
+    row.push_back(count_cell(c.trials));
+    row.push_back(count_cell(c.successes));
+    row.push_back(count_cell(c.denials));
+    row.push_back(num_cell(c.success_rate));
+    if (csv) row.push_back(num_cell(rate(c.denials, c.trials)));
+    t.add_row(std::move(row));
+  }
+  return t;
+}
+
+/// The `marginals` section: the JSON array and the CSV's axis rows.
+/// Marginals carry only the raw flag: FDR is corrected over the cell
+/// family, and mixing the pooled marginal tests into it would change
+/// what "the family" means.
+Table marginal_delta_table(const std::vector<AxisDelta>& marginals) {
+  Table t{{{"axis"},           {"value"},
+           {"trials_a"},       {"trials_b"},
+           {"successes_a"},    {"successes_b"},
+           {"denials_a"},      {"denials_b"},
+           {"success_rate_a"}, {"success_rate_b"},
+           {"success_delta"},  {"delta_ci95_low"},
+           {"delta_ci95_high"}, {"significant"},
+           {"denial_delta"},   {"mean_psnr_shift"}}};
+  for (const AxisDelta& d : marginals) {
+    t.add_row({str_cell(d.axis), str_cell(d.value), count_cell(d.trials_a),
+               count_cell(d.trials_b), count_cell(d.successes_a),
+               count_cell(d.successes_b), count_cell(d.denials_a),
+               count_cell(d.denials_b), num_cell(d.success_rate_a),
+               num_cell(d.success_rate_b), num_cell(d.success_delta),
+               num_cell(d.success_delta_ci.low),
+               num_cell(d.success_delta_ci.high), bool_cell(d.significant),
+               num_cell(d.denial_delta), num_cell(d.mean_psnr_shift)});
+  }
+  return t;
+}
+
+}  // namespace
+
+std::string DiffReport::to_csv() const {
+  std::vector<std::string> columns = csv_axis_union(*this);
+  for (const char* name :
+       {"axis", "value", "index_a", "index_b", "trials_a", "trials_b",
+        "successes_a", "successes_b", "denials_a", "denials_b",
+        "success_rate_a", "success_rate_b", "success_delta", "delta_ci95_low",
+        "delta_ci95_high", "significant", "p_value", "p_value_fdr",
+        "significant_fdr", "denial_rate_a", "denial_rate_b", "denial_delta",
+        "p50_shift", "p90_shift", "p99_shift", "mean_psnr_shift"}) {
+    columns.push_back(name);
+  }
+  return table::flat_csv(columns,
+                         {{"cell", cell_delta_table(*this)},
+                          {"only_in_a", side_table(only_in_a, "_a")},
+                          {"only_in_b", side_table(only_in_b, "_b")},
+                          {"axis", marginal_delta_table(marginals)}});
+}
+
+std::string DiffReport::to_json() const {
   std::string out = "{\"matched_cells\":" + std::to_string(cells.size());
   out += ",\"significant_cells\":" + std::to_string(significant_cells);
   out += ",\"significant_cells_fdr\":" + std::to_string(significant_cells_fdr);
-  out += ",\"cells\":" + cell_table.to_json();
+  out += ",\"cells\":" + cell_delta_table(*this).to_json();
   out += ",\"only_in_a\":" + side_table(only_in_a).to_json();
   out += ",\"only_in_b\":" + side_table(only_in_b).to_json();
-  out += ",\"marginals\":" + marginal_table.to_json();
+  out += ",\"marginals\":" + marginal_delta_table(marginals).to_json();
   out += '}';
   return out;
 }

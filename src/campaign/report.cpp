@@ -4,36 +4,45 @@
 
 namespace msa::campaign {
 
-// Value formatting lives in campaign/table.h, shared with the stats and
-// diff emitters: format_double is shortest-round-trip-exact, csv_escape
-// is RFC-4180 (quoting on comma/quote/newline/CR), json_double spells
-// infinities as the +/-1e999 sentinels (documented in README).
-using table::csv_escape;
-using table::format_double;
-using table::json_double;
-using table::json_escape;
-
 namespace {
 
-// label() is already the canonical text for numbers/bools; string-kind
-// labels additionally need RFC-4180 quoting.
-std::string csv_value(const AxisValue& v) {
-  return v.kind == AxisKind::kString || v.kind == AxisKind::kEnum
-             ? csv_escape(v.str)
-             : v.label();
-}
-
-std::string json_value(const AxisValue& v) {
-  switch (v.kind) {
-    case AxisKind::kString:
-    case AxisKind::kEnum:
-      return '"' + json_escape(v.str) + '"';
-    case AxisKind::kDouble:
-      return json_double(v.num);
-    case AxisKind::kBool:
-      return v.flag ? "true" : "false";
+/// One row per cell, columns in the sweep's axis order: the one table
+/// both to_csv() and to_json() render.
+table::Table cell_table(const std::vector<CellStats>& cells) {
+  // An empty report falls back to the legacy four axes so the header
+  // shape is stable for header-only output.
+  std::vector<table::Column> columns{{"index"}};
+  if (cells.empty()) {
+    for (const std::string& name : legacy_axis_names()) columns.push_back({name});
+  } else {
+    for (const AxisCoordinate& c : cells.front().coords) {
+      columns.push_back({c.axis});
+    }
   }
-  return "null";
+  for (const char* name :
+       {"trials", "full_successes", "model_identified", "denials",
+        "success_rate", "mean_pixel_match", "mean_psnr_db",
+        "mean_descriptor_pixel_match", "first_denial_reason"}) {
+    columns.push_back({name});
+  }
+  table::Table t{std::move(columns)};
+  for (const CellStats& c : cells) {
+    std::vector<table::Cell> row{table::count_cell(c.index)};
+    for (const AxisCoordinate& coord : c.coords) {
+      row.push_back(table::axis_value_cell(coord.value));
+    }
+    row.push_back(table::count_cell(c.trials));
+    row.push_back(table::count_cell(c.full_successes));
+    row.push_back(table::count_cell(c.model_identified));
+    row.push_back(table::count_cell(c.denials));
+    row.push_back(table::num_cell(c.success_rate()));
+    row.push_back(table::num_cell(c.mean_pixel_match));
+    row.push_back(table::num_cell(c.mean_psnr_db));
+    row.push_back(table::num_cell(c.mean_descriptor_pixel_match));
+    row.push_back(table::str_cell(c.first_denial_reason));
+    t.add_row(std::move(row));
+  }
+  return t;
 }
 
 }  // namespace
@@ -77,63 +86,11 @@ std::size_t SweepReport::total_denials() const noexcept {
   return n;
 }
 
-std::string SweepReport::to_csv() const {
-  // Axis columns mirror the sweep's schema (first cell's coordinate
-  // order); an empty report falls back to the legacy four so the header
-  // shape is stable for header-only output.
-  std::string out = "index";
-  if (cells.empty()) {
-    for (const std::string& name : legacy_axis_names()) out += ',' + name;
-  } else {
-    for (const AxisCoordinate& c : cells.front().coords) out += ',' + c.axis;
-  }
-  out +=
-      ",trials,full_successes,model_identified,denials,success_rate,"
-      "mean_pixel_match,mean_psnr_db,mean_descriptor_pixel_match,"
-      "first_denial_reason\n";
-  for (const auto& c : cells) {
-    out += std::to_string(c.index);
-    for (const AxisCoordinate& coord : c.coords) {
-      out += ',' + csv_value(coord.value);
-    }
-    out += ',' + std::to_string(c.trials);
-    out += ',' + std::to_string(c.full_successes);
-    out += ',' + std::to_string(c.model_identified);
-    out += ',' + std::to_string(c.denials);
-    out += ',' + format_double(c.success_rate());
-    out += ',' + format_double(c.mean_pixel_match);
-    out += ',' + format_double(c.mean_psnr_db);
-    out += ',' + format_double(c.mean_descriptor_pixel_match);
-    out += ',' + csv_escape(c.first_denial_reason);
-    out += '\n';
-  }
-  return out;
-}
+std::string SweepReport::to_csv() const { return cell_table(cells).to_csv(); }
 
 std::string SweepReport::to_json() const {
-  std::string out = "{\"cells\":[";
-  bool first = true;
-  for (const auto& c : cells) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"index\":" + std::to_string(c.index);
-    for (const AxisCoordinate& coord : c.coords) {
-      out += ",\"" + json_escape(coord.axis) +
-             "\":" + json_value(coord.value);
-    }
-    out += ",\"trials\":" + std::to_string(c.trials);
-    out += ",\"full_successes\":" + std::to_string(c.full_successes);
-    out += ",\"model_identified\":" + std::to_string(c.model_identified);
-    out += ",\"denials\":" + std::to_string(c.denials);
-    out += ",\"success_rate\":" + json_double(c.success_rate());
-    out += ",\"mean_pixel_match\":" + json_double(c.mean_pixel_match);
-    out += ",\"mean_psnr_db\":" + json_double(c.mean_psnr_db);
-    out += ",\"mean_descriptor_pixel_match\":" +
-           json_double(c.mean_descriptor_pixel_match);
-    out += ",\"first_denial_reason\":\"" + json_escape(c.first_denial_reason) +
-           "\"}";
-  }
-  out += "],\"totals\":{\"trials\":" + std::to_string(total_trials());
+  std::string out = "{\"cells\":" + cell_table(cells).to_json();
+  out += ",\"totals\":{\"trials\":" + std::to_string(total_trials());
   out += ",\"full_successes\":" + std::to_string(total_full_successes());
   out += ",\"denials\":" + std::to_string(total_denials());
   out += "}}";

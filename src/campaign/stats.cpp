@@ -17,7 +17,6 @@ using table::Cell;
 using table::Column;
 using table::Table;
 using table::count_cell;
-using table::empty_cell;
 using table::format_double;
 using table::num_cell;
 using table::str_cell;
@@ -255,66 +254,18 @@ std::string StatsReport::to_text() const {
   return out;
 }
 
-std::string StatsReport::to_csv() const {
-  const std::vector<std::string> axes = axis_columns(cells);
-  std::vector<Column> columns{{"section"}, {"index"}};
-  for (const std::string& axis : axes) columns.push_back({axis});
-  for (const char* name :
-       {"axis", "value", "trials", "successes", "denials", "success_rate",
-        "ci95_low", "ci95_high", "p50_psnr", "p90_psnr", "p99_psnr",
-        "mean_psnr"}) {
-    columns.push_back({name});
-  }
-  Table t{std::move(columns)};
-  for (const CellDistribution& c : cells) {
-    std::vector<Cell> row{str_cell("cell"), count_cell(c.index)};
-    for (const AxisCoordinate& coord : c.coords) {
-      row.push_back(axis_value_cell(coord.value));
-    }
-    row.push_back(empty_cell());  // axis
-    row.push_back(empty_cell());  // value
-    row.push_back(count_cell(c.trials));
-    row.push_back(count_cell(c.successes));
-    row.push_back(count_cell(c.denials));
-    row.push_back(num_cell(c.success_rate));
-    row.push_back(num_cell(c.success_ci.low));
-    row.push_back(num_cell(c.success_ci.high));
-    row.push_back(num_cell(c.p50_psnr));
-    row.push_back(num_cell(c.p90_psnr));
-    row.push_back(num_cell(c.p99_psnr));
-    row.push_back(empty_cell());  // mean_psnr
-    t.add_row(std::move(row));
-  }
-  for (const AxisMarginal& m : marginals) {
-    std::vector<Cell> row{str_cell("marginal"), empty_cell()};
-    for (std::size_t i = 0; i < axes.size(); ++i) row.push_back(empty_cell());
-    row.push_back(str_cell(m.axis));
-    row.push_back(str_cell(m.value));
-    row.push_back(count_cell(m.trials));
-    row.push_back(count_cell(m.successes));
-    row.push_back(count_cell(m.denials));
-    row.push_back(num_cell(m.success_rate));
-    row.push_back(num_cell(m.success_ci.low));
-    row.push_back(num_cell(m.success_ci.high));
-    row.push_back(empty_cell());  // p50_psnr
-    row.push_back(empty_cell());  // p90_psnr
-    row.push_back(empty_cell());  // p99_psnr
-    row.push_back(num_cell(m.mean_psnr));
-    t.add_row(std::move(row));
-  }
-  return t.to_csv();
-}
+namespace {
 
-std::string StatsReport::to_json() const {
-  const std::vector<std::string> axes = axis_columns(cells);
-  std::vector<Column> cell_columns{{"index"}};
-  for (const std::string& axis : axes) cell_columns.push_back({axis});
+/// The `cells` section: the JSON array and the CSV's cell rows.
+Table cell_table(const std::vector<CellDistribution>& cells) {
+  std::vector<Column> columns{{"index"}};
+  for (const std::string& axis : axis_columns(cells)) columns.push_back({axis});
   for (const char* name :
        {"trials", "successes", "denials", "success_rate", "ci95_low",
         "ci95_high", "p50_psnr", "p90_psnr", "p99_psnr"}) {
-    cell_columns.push_back({name});
+    columns.push_back({name});
   }
-  Table cell_table{std::move(cell_columns)};
+  Table t{std::move(columns)};
   for (const CellDistribution& c : cells) {
     std::vector<Cell> row{count_cell(c.index)};
     for (const AxisCoordinate& coord : c.coords) {
@@ -329,22 +280,45 @@ std::string StatsReport::to_json() const {
     row.push_back(num_cell(c.p50_psnr));
     row.push_back(num_cell(c.p90_psnr));
     row.push_back(num_cell(c.p99_psnr));
-    cell_table.add_row(std::move(row));
+    t.add_row(std::move(row));
   }
-  Table marginal_table{{{"axis"},         {"value"},    {"trials"},
-                        {"successes"},    {"denials"},  {"success_rate"},
-                        {"ci95_low"},     {"ci95_high"}, {"mean_psnr"}}};
+  return t;
+}
+
+/// The `marginals` section: the JSON array and the CSV's marginal rows.
+Table marginal_table(const std::vector<AxisMarginal>& marginals) {
+  Table t{{{"axis"},         {"value"},    {"trials"},
+           {"successes"},    {"denials"},  {"success_rate"},
+           {"ci95_low"},     {"ci95_high"}, {"mean_psnr"}}};
   for (const AxisMarginal& m : marginals) {
-    marginal_table.add_row(
-        {str_cell(m.axis), str_cell(m.value), count_cell(m.trials),
-         count_cell(m.successes), count_cell(m.denials),
-         num_cell(m.success_rate), num_cell(m.success_ci.low),
-         num_cell(m.success_ci.high), num_cell(m.mean_psnr)});
+    t.add_row({str_cell(m.axis), str_cell(m.value), count_cell(m.trials),
+               count_cell(m.successes), count_cell(m.denials),
+               num_cell(m.success_rate), num_cell(m.success_ci.low),
+               num_cell(m.success_ci.high), num_cell(m.mean_psnr)});
   }
+  return t;
+}
+
+}  // namespace
+
+std::string StatsReport::to_csv() const {
+  std::vector<std::string> columns{"index"};
+  for (const std::string& axis : axis_columns(cells)) columns.push_back(axis);
+  for (const char* name :
+       {"axis", "value", "trials", "successes", "denials", "success_rate",
+        "ci95_low", "ci95_high", "p50_psnr", "p90_psnr", "p99_psnr",
+        "mean_psnr"}) {
+    columns.push_back(name);
+  }
+  return table::flat_csv(columns, {{"cell", cell_table(cells)},
+                                   {"marginal", marginal_table(marginals)}});
+}
+
+std::string StatsReport::to_json() const {
   std::string out = "{\"trials_analyzed\":" + std::to_string(trials_analyzed);
   out += ",\"orphan_trials\":" + std::to_string(orphan_trials);
-  out += ",\"cells\":" + cell_table.to_json();
-  out += ",\"marginals\":" + marginal_table.to_json();
+  out += ",\"cells\":" + cell_table(cells).to_json();
+  out += ",\"marginals\":" + marginal_table(marginals).to_json();
   out += '}';
   return out;
 }

@@ -1,5 +1,6 @@
 #include "campaign/table.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -201,6 +202,42 @@ std::string Table::to_json() const {
     out += '}';
   }
   out += ']';
+  return out;
+}
+
+std::string flat_csv(const std::vector<std::string>& columns,
+                     const std::vector<Section>& sections) {
+  std::string out = "section";
+  for (const std::string& name : columns) {
+    out += ',';
+    out += csv_escape(name);
+  }
+  out += '\n';
+  std::vector<const Cell*> fields;
+  for (const Section& section : sections) {
+    const Table& t = section.table;
+    if (t.rows_.empty()) continue;
+    std::vector<std::size_t> slot;  // CSV position of each table column
+    for (const Column& column : t.columns_) {
+      const auto it = std::find(columns.begin(), columns.end(), column.name);
+      if (it == columns.end()) {
+        throw std::invalid_argument("table: section '" + section.name +
+                                    "' has column '" + column.name +
+                                    "', the CSV does not");
+      }
+      slot.push_back(static_cast<std::size_t>(it - columns.begin()));
+    }
+    for (const auto& row : t.rows_) {
+      fields.assign(columns.size(), nullptr);
+      for (std::size_t c = 0; c < row.size(); ++c) fields[slot[c]] = &row[c];
+      out += csv_escape(section.name);
+      for (const Cell* field : fields) {
+        out += ',';
+        if (field != nullptr) out += csv_escape(field->csv);
+      }
+      out += '\n';
+    }
+  }
   return out;
 }
 

@@ -82,6 +82,14 @@ struct Column {
   Align align = Align::kRight;
 };
 
+class Table;
+
+/// One named section of a flat multi-section CSV (see flat_csv).
+struct Section {
+  std::string name;  ///< the rows' `section` field
+  const Table& table;
+};
+
 /// Column-typed row collection with three renderers. Rendering is a pure
 /// function of (columns, rows): text pads every column to its widest
 /// member, CSV emits one header plus one line per row, JSON emits an
@@ -106,8 +114,20 @@ class Table {
   [[nodiscard]] std::string to_json() const;
 
  private:
+  friend std::string flat_csv(const std::vector<std::string>& columns,
+                              const std::vector<Section>& sections);
+
   std::vector<Column> columns_;
   std::vector<std::vector<Cell>> rows_;
 };
+
+/// Several tables as one strict CSV: a leading `section` column, then
+/// `columns`. Each row's cells land under the column of the same name
+/// and every other field stays empty, so a CSV row is its section's JSON
+/// row under the same names. A section with no rows adds nothing, even
+/// when its columns are not in `columns`; a row holding a column that
+/// `columns` lacks throws std::invalid_argument.
+[[nodiscard]] std::string flat_csv(const std::vector<std::string>& columns,
+                                   const std::vector<Section>& sections);
 
 }  // namespace msa::campaign::table

@@ -145,6 +145,10 @@ CellFilter::Clause CellFilter::parse_clause(const std::string& spec) {
   }
   Clause clause;
   clause.axis = spec.substr(0, eq);
+  // Resolving the axis and canonicalising each value ("5.0" -> "5",
+  // "true" -> "1") keeps a typo or a spelling from matching nothing.
+  const campaign::AxisDescriptor& axis =
+      campaign::axis_descriptor(clause.axis);
   std::size_t start = eq + 1;
   while (start <= spec.size()) {
     const std::size_t comma = spec.find(',', start);
@@ -152,7 +156,9 @@ CellFilter::Clause CellFilter::parse_clause(const std::string& spec) {
     if (end == start) {
       throw std::invalid_argument("cell filter has an empty value: " + spec);
     }
-    clause.labels.push_back(spec.substr(start, end - start));
+    clause.labels.push_back(
+        campaign::parse_axis_token(axis, spec.substr(start, end - start))
+            .label());
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -184,9 +184,12 @@ struct CellFilter {
   [[nodiscard]] bool matches(
       const std::vector<campaign::AxisCoordinate>& coords) const;
 
-  /// Parses one "AXIS=V1[,V2...]" spec into a clause; throws
+  /// Parses one "AXIS=V1[,V2...]" spec into a clause of canonical
+  /// labels ("5.0" and "5" both become "5", "true" becomes "1"); throws
   /// std::invalid_argument on a malformed spec (no '=', empty axis or
-  /// value list). Repeated flags append clauses (AND).
+  /// value list), an unknown axis, or a value not of the axis's kind.
+  /// Values are not range-checked: a store may hold any of them.
+  /// Repeated flags append clauses (AND).
   static Clause parse_clause(const std::string& spec);
 };
 

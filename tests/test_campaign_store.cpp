@@ -701,5 +701,36 @@ TEST(CampaignStore, MergeRejectsStoresOfDifferentSweeps) {
   EXPECT_THAT_ERROR((void)merge_stores({a, b}), "different sweep");
 }
 
+TEST(CellFilter, ValuesParseToCanonicalLabels) {
+  using Labels = std::vector<std::string>;
+  EXPECT_EQ(CellFilter::parse_clause("delay_s=5.0,5,0.50").labels,
+            (Labels{"5", "5", "0.5"}));
+  EXPECT_EQ(CellFilter::parse_clause("power_cycled=true,0,false,1").labels,
+            (Labels{"1", "0", "0", "1"}));
+  EXPECT_EQ(CellFilter::parse_clause("defense=baseline").labels,
+            (Labels{"baseline"}));
+  // Not range-checked: an older store may hold a value today's
+  // validator refuses, and the filter must still be able to name it.
+  EXPECT_EQ(CellFilter::parse_clause("delay_s=-1").labels, (Labels{"-1"}));
+
+  const std::vector<campaign::AxisCoordinate> coords{
+      {"delay_s", campaign::AxisValue::of_number(5.0)},
+      {"power_cycled", campaign::AxisValue::of_bool(true)}};
+  EXPECT_TRUE((CellFilter{{CellFilter::parse_clause("delay_s=5.0"),
+                           CellFilter::parse_clause("power_cycled=true")}}
+                   .matches(coords)));
+}
+
+TEST(CellFilter, UnknownAxisAndMistypedValueThrow) {
+  EXPECT_THROW((void)CellFilter::parse_clause("delya_s=5"),
+               std::invalid_argument);
+  EXPECT_THROW((void)CellFilter::parse_clause("delay_s=5s"),
+               std::invalid_argument);
+  EXPECT_THROW((void)CellFilter::parse_clause("delay_s=5,x"),
+               std::invalid_argument);
+  EXPECT_THROW((void)CellFilter::parse_clause("power_cycled=yes"),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace msa::persist

@@ -139,6 +139,18 @@ TEST(StoreCompat, DiffOutputIsByteIdenticalToGoldenInBothOrders) {
   }
 }
 
+TEST(StoreCompat, CellFilterMatchesAnySpellingOfAValue) {
+  const std::string path = data_path("golden_v1_4axis.store");
+  const auto stats = [&](const char* clause) {
+    return campaign::analyze_sweep(
+        load_sweep({path}, CellFilter{{CellFilter::parse_clause(clause)}}));
+  };
+  const campaign::StatsReport canonical = stats("delay_s=5");
+  EXPECT_EQ(canonical.cells.size(), 2u);
+  EXPECT_EQ(stats("delay_s=5.0").to_csv(), canonical.to_csv());
+  EXPECT_EQ(stats("delay_s=5e0").to_csv(), canonical.to_csv());
+}
+
 TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
   // Re-run the golden grid with today's binary into a v2 store, then
   // cross-version diff: every cell must pair on the legacy axes with

@@ -152,6 +152,37 @@ TEST(Table, RenderingIsDeterministic) {
   EXPECT_EQ(t.to_json(), two_column_fixture().to_json());
 }
 
+TEST(FlatCsv, CellsLandUnderTheirNamedColumns) {
+  Table cells{{{"index"}, {"rate"}}};
+  cells.add_row({count_cell(3), num_cell(0.25)});
+  Table notes{{{"note"}, {"index"}}};  // order differs from the CSV's
+  notes.add_row({str_cell("a,b"), count_cell(7)});
+  EXPECT_EQ(flat_csv({"index", "note", "rate"},
+                     {{"cell", cells}, {"note", notes}}),
+            "section,index,note,rate\n"
+            "cell,3,,0.25\n"
+            "note,7,\"a,b\",\n");
+}
+
+TEST(FlatCsv, SectionWithoutRowsAddsNothing) {
+  // Its columns need not be in the CSV: an empty section names none.
+  const Table unused{{{"not_in_csv"}}};
+  Table rows{{{"x"}}};
+  rows.add_row({count_cell(1)});
+  EXPECT_EQ(flat_csv({"x"}, {{"empty", unused}, {"rows", rows}}),
+            "section,x\nrows,1\n");
+}
+
+TEST(FlatCsv, RowWithAColumnTheCsvLacksThrows) {
+  Table t{{{"x"}, {"y"}}};
+  t.add_row({count_cell(1), count_cell(2)});
+  EXPECT_THROW((void)flat_csv({"x"}, {{"s", t}}), std::invalid_argument);
+}
+
+TEST(FlatCsv, NoSectionsGivesHeaderOnly) {
+  EXPECT_EQ(flat_csv({"a", "b"}, {}), "section,a,b\n");
+}
+
 TEST(FullSuccessPredicate, SingleSharedDefinition) {
   // The hoisted predicate is the one ScenarioResult uses.
   attack::ScenarioResult r;
