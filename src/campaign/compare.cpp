@@ -20,7 +20,6 @@ using table::axis_text_header;
 using table::axis_value_cell;
 using table::bool_cell;
 using table::count_cell;
-using table::empty_cell;
 using table::num_cell;
 using table::str_cell;
 
@@ -30,17 +29,9 @@ double rate(std::size_t numerator, std::size_t denominator) {
                                 static_cast<double>(denominator);
 }
 
-/// Ordered axis names of an analyzed sweep — the first cell's coordinate
-/// order (every cell of one sweep shares the schema); empty for an empty
-/// sweep.
+/// Ordered axis names of an analyzed sweep; empty for an empty sweep.
 std::vector<std::string> schema_of(const StatsReport& r) {
-  std::vector<std::string> axes;
-  if (r.cells.empty()) return axes;
-  axes.reserve(r.cells.front().coords.size());
-  for (const AxisCoordinate& c : r.cells.front().coords) {
-    axes.push_back(c.axis);
-  }
-  return axes;
+  return r.cells.empty() ? std::vector<std::string>{} : axis_columns(r.cells);
 }
 
 /// Projects a cell onto the shared axes, in shared order. A cell missing
@@ -359,26 +350,8 @@ Align axis_align(const std::string& axis,
                                                               : Align::kRight;
 }
 
-/// Axis value of `axis` on `coords`, empty cell when the row lacks it
-/// (a one-sided row in a CSV whose column union spans both schemas).
-Cell coord_cell(const std::vector<AxisCoordinate>& coords,
-                const std::string& axis) {
-  const AxisValue* v = find_coord(coords, axis);
-  return v == nullptr ? empty_cell() : axis_value_cell(*v);
-}
-
-/// Axis columns of one side's unmatched-cell table: that side's own
-/// schema, the legacy four when the side is empty.
-std::vector<std::string> side_axes(const std::vector<CellDistribution>& side) {
-  if (side.empty()) return legacy_axis_names();
-  std::vector<std::string> axes;
-  axes.reserve(side.front().coords.size());
-  for (const AxisCoordinate& c : side.front().coords) axes.push_back(c.axis);
-  return axes;
-}
-
 Table unmatched_table(const std::vector<CellDistribution>& cells) {
-  const std::vector<std::string> axes = side_axes(cells);
+  const std::vector<std::string> axes = axis_columns(cells);
   const std::vector<AxisCoordinate>* sample =
       cells.empty() ? nullptr : &cells.front().coords;
   std::vector<Column> columns{{"index", Align::kLeft}};
@@ -391,8 +364,8 @@ Table unmatched_table(const std::vector<CellDistribution>& cells) {
   Table t{std::move(columns)};
   for (const CellDistribution& c : cells) {
     std::vector<Cell> row{count_cell(c.index)};
-    for (const std::string& axis : axes) {
-      row.push_back(coord_cell(c.coords, axis));
+    for (const AxisCoordinate& coord : c.coords) {
+      row.push_back(axis_value_cell(coord.value));
     }
     row.push_back(count_cell(c.trials));
     row.push_back(num_cell(c.success_rate, 3));
@@ -432,8 +405,8 @@ std::string DiffReport::to_text() const {
   Table cell_table{std::move(cell_columns)};
   for (const CellDelta& d : cells) {
     std::vector<Cell> row;
-    for (const std::string& axis : matched_axes) {
-      row.push_back(coord_cell(d.key.coords, axis));
+    for (const AxisCoordinate& coord : d.key.coords) {
+      row.push_back(axis_value_cell(coord.value));
     }
     row.push_back(count_cell(d.trials_a));
     row.push_back(count_cell(d.trials_b));
@@ -566,7 +539,7 @@ Table cell_delta_table(const DiffReport& r) {
 Table side_table(const std::vector<CellDistribution>& side,
                  const std::string& suffix = "") {
   const bool csv = !suffix.empty();
-  const std::vector<std::string> axes = side_axes(side);
+  const std::vector<std::string> axes = axis_columns(side);
   std::vector<Column> columns{{"index" + suffix}};
   for (const std::string& axis : axes) columns.push_back({axis});
   for (const char* name : {"trials", "successes", "denials", "success_rate"}) {
@@ -576,8 +549,8 @@ Table side_table(const std::vector<CellDistribution>& side,
   Table t{std::move(columns)};
   for (const CellDistribution& c : side) {
     std::vector<Cell> row{count_cell(c.index)};
-    for (const std::string& axis : axes) {
-      row.push_back(coord_cell(c.coords, axis));
+    for (const AxisCoordinate& coord : c.coords) {
+      row.push_back(axis_value_cell(coord.value));
     }
     row.push_back(count_cell(c.trials));
     row.push_back(count_cell(c.successes));

@@ -13,7 +13,9 @@ table::Table cell_table(const std::vector<CellStats>& cells) {
   // shape is stable for header-only output.
   std::vector<table::Column> columns{{"index"}};
   if (cells.empty()) {
-    for (const std::string& name : legacy_axis_names()) columns.push_back({name});
+    for (const std::string& axis : legacy_axis_names()) {
+      columns.push_back({axis});
+    }
   } else {
     for (const AxisCoordinate& c : cells.front().coords) {
       columns.push_back({c.axis});

@@ -171,17 +171,6 @@ StatsReport analyze_sweep(const persist::SweepData& data) {
   return report;
 }
 
-namespace {
-
-/// Text tables combine the CI bounds into one "[low,high]" column; the
-/// CSV/JSON emitters below split them so consumers get plain numbers.
-Cell ci_cell(const WilsonInterval& ci) {
-  return table::interval_cell(ci.low, ci.high);
-}
-
-/// Axis columns of this report: the first cell's coordinate order, the
-/// legacy four when there are no cells (header-only output keeps its
-/// historical shape).
 std::vector<std::string> axis_columns(
     const std::vector<CellDistribution>& cells) {
   if (cells.empty()) return legacy_axis_names();
@@ -189,6 +178,14 @@ std::vector<std::string> axis_columns(
   names.reserve(cells.front().coords.size());
   for (const AxisCoordinate& c : cells.front().coords) names.push_back(c.axis);
   return names;
+}
+
+namespace {
+
+/// Text tables combine the CI bounds into one "[low,high]" column; the
+/// CSV/JSON emitters split them so consumers get plain numbers.
+Cell ci_cell(const WilsonInterval& ci) {
+  return table::interval_cell(ci.low, ci.high);
 }
 
 using table::axis_text_header;

@@ -84,6 +84,12 @@ struct StatsReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Axis names of one sweep's cells: the first cell's coordinate order
+/// (every cell of a sweep shares the schema), the legacy four when there
+/// are no cells, so header-only tables keep their historical shape.
+[[nodiscard]] std::vector<std::string> axis_columns(
+    const std::vector<CellDistribution>& cells);
+
 /// Computes the report from loaded store data. Only completed cells are
 /// analyzed; their trial streams are complete by the store's durability
 /// contract. Throws std::runtime_error when a completed cell has no

@@ -197,10 +197,12 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
     for (const auto& [key, t] : log_.trials) trials[key] = t;
   } else {
     // Indexed path: per segment, the set of blocks that can hold any
-    // selected cell — each block read once even when it serves several.
-    std::set<std::vector<std::uint8_t>> keys;
+    // selected cell — each block read once even when it serves several —
+    // keeping the trials of selected cells, as the log pass below does.
+    std::vector<std::vector<std::uint8_t>> keys;
+    keys.reserve(matched.size());
     for (const campaign::CellStats& cell : matched) {
-      keys.insert(encode_cell_key(cell.coords));
+      keys.push_back(encode_cell_key(cell.coords));
     }
     for (const std::unique_ptr<SegmentReader>& seg : tier_.segments) {
       std::set<std::size_t> blocks;
@@ -210,8 +212,8 @@ StoreContents StoreReader::read_matching(const CellFilter& filter) const {
       }
       for (const std::size_t block : blocks) {
         for (SegmentReader::TrialGroup& group : seg->read_trial_block(block)) {
-          if (!keys.contains(group.key)) continue;
           for (TrialRecord& t : group.trials) {
+            if (!selected.contains(t.cell_index)) continue;
             const std::pair<std::uint64_t, std::uint32_t> key{t.cell_index,
                                                               t.trial};
             trials[key] = std::move(t);
