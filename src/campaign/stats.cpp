@@ -17,7 +17,6 @@ using table::Cell;
 using table::Column;
 using table::Table;
 using table::count_cell;
-using table::format_double;
 using table::num_cell;
 using table::str_cell;
 
