@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "util/crc32.h"
 
 namespace msa::vitis {
 namespace {
@@ -76,6 +81,38 @@ TEST(ModelZoo, DifferentModelsProduceDifferentOutputs) {
   const img::Image in = img::make_test_image(64, 64, 5);
   EXPECT_NE(make_zoo_model("resnet50_pt").infer(tensor_from_image(in)),
             make_zoo_model("squeezenet_pt").infer(tensor_from_image(in)));
+}
+
+TEST(ModelZoo, SerializedBytesArePinned) {
+  // Size and CRC-32 of every zoo container's body (all bytes before its
+  // CRC trailer). The staged xmodel is what the attack scrapes, so any
+  // change to these bytes changes every residue digest downstream; a
+  // faster serializer or CRC must reproduce them exactly.
+  struct Pin {
+    const char* name;
+    std::size_t size;
+    std::uint32_t body_crc;
+  };
+  constexpr Pin kPins[] = {
+      {"resnet50_pt", 25091u, 0x61075B44u},
+      {"squeezenet_pt", 5799u, 0xC3551F8Fu},
+      {"inception_v1_tf", 14626u, 0xF3BC37A7u},
+      {"mobilenet_v2_tf", 9958u, 0xC81D633Au},
+      {"yolov3_tiny_tf", 6327u, 0x4FFA445Cu},
+  };
+  ASSERT_EQ(std::size(kPins), zoo_model_names().size());
+  for (const Pin& pin : kPins) {
+    const std::vector<std::uint8_t> blob = make_zoo_model(pin.name).serialize();
+    ASSERT_EQ(blob.size(), pin.size) << pin.name;
+    const std::span<const std::uint8_t> body{blob.data(), blob.size() - 4};
+    EXPECT_EQ(util::crc32(body), pin.body_crc) << pin.name;
+    const std::uint32_t trailer =
+        static_cast<std::uint32_t>(blob[blob.size() - 4]) |
+        (static_cast<std::uint32_t>(blob[blob.size() - 3]) << 8) |
+        (static_cast<std::uint32_t>(blob[blob.size() - 2]) << 16) |
+        (static_cast<std::uint32_t>(blob[blob.size() - 1]) << 24);
+    EXPECT_EQ(trailer, pin.body_crc) << pin.name;
+  }
 }
 
 class ZooSweep : public ::testing::TestWithParam<std::string> {};
