@@ -19,8 +19,9 @@
 
 namespace msa::img {
 
-/// Runtime toggle for the SIMD scoring paths. No-op (stays scalar) when
-/// SIMD support was not compiled in.
+/// Runtime toggle for the SIMD paths: these scoring kernels and
+/// vitis::Conv2d's dot-product kernel (SSE2 only). No-op (stays scalar)
+/// when SIMD support was not compiled in.
 void set_simd_enabled(bool on) noexcept;
 [[nodiscard]] bool simd_enabled() noexcept;
 

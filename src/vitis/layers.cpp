@@ -2,7 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+
+#include "img/score_kernels.h"
+
+// The conv kernel has an SSE2 path only; AArch64 runs the scalar kernel.
+#if defined(MSA_ENABLE_SIMD) && (defined(__SSE2__) || defined(_M_X64))
+#define MSA_SIMD_SSE2 1
+#include <emmintrin.h>
+#endif
 
 namespace msa::vitis {
 
@@ -25,10 +34,118 @@ std::uint32_t get_u32(std::span<const std::uint8_t> blob, std::size_t& pos) {
   return v;
 }
 
+/// Layer parameters as serialized: u32 count + int8 weights, then u32
+/// count + little-endian int32 biases.
+void put_params(std::vector<std::uint8_t>& out,
+                const std::vector<std::int8_t>& weights,
+                const std::vector<std::int32_t>& bias) {
+  put_u32(out, static_cast<std::uint32_t>(weights.size()));
+  const auto* w = reinterpret_cast<const std::uint8_t*>(weights.data());
+  out.insert(out.end(), w, w + weights.size());
+  put_u32(out, static_cast<std::uint32_t>(bias.size()));
+  for (const std::int32_t b : bias) put_u32(out, static_cast<std::uint32_t>(b));
+}
+
+/// Inverse of put_params. Both counts are checked against the bytes left
+/// BEFORE anything is sized: residue parsing must reject corrupted
+/// counts, not ask the allocator for 16 GiB.
+void get_params(std::span<const std::uint8_t> blob, std::size_t& pos,
+                std::vector<std::int8_t>& weights,
+                std::vector<std::int32_t>& bias) {
+  const std::uint32_t n_w = get_u32(blob, pos);
+  if (n_w > blob.size() - pos) {
+    throw std::invalid_argument("xmodel: truncated weights");
+  }
+  weights.resize(n_w);
+  if (n_w != 0) std::memcpy(weights.data(), blob.data() + pos, n_w);
+  pos += n_w;
+  const std::uint32_t n_b = get_u32(blob, pos);
+  if (static_cast<std::uint64_t>(n_b) * 4 > blob.size() - pos) {
+    throw std::invalid_argument("xmodel: truncated bias");
+  }
+  bias.resize(n_b);
+  for (std::int32_t& b : bias) b = static_cast<std::int32_t>(get_u32(blob, pos));
+}
+
 std::int8_t requantize(std::int32_t acc, std::uint32_t shift) {
   const std::int32_t scaled = acc >> shift;
   return static_cast<std::int8_t>(std::clamp(scaled, -128, 127));
 }
+
+// Conv2d's GEMM pads every im2col row and packed weight row to a whole
+// number of these int16 taps (two SSE2 registers), so the dot-product
+// kernels need no tail loop. Padding taps are zero on both sides.
+constexpr std::size_t kTapAlign = 16;
+
+/// out[o] = row . weights[o] for o < n_rows, over `taps` int16 taps each
+/// (weights row-major, `taps` apart). Sums wrap in uint32: every product
+/// of two int8-range values fits in int16 x int16 -> int32, and wrapping
+/// int32 addition gives the same bits in any order, so this kernel and
+/// the SSE2 one agree exactly whatever the tap order or overflow.
+void dot_rows_scalar(const std::int16_t* row, const std::int16_t* weights,
+                     std::size_t taps, std::size_t n_rows,
+                     std::int32_t* out) noexcept {
+  for (std::size_t o = 0; o < n_rows; ++o) {
+    const std::int16_t* w = weights + o * taps;
+    std::uint32_t sum = 0;
+    for (std::size_t t = 0; t < taps; ++t) {
+      sum += static_cast<std::uint32_t>(std::int32_t{row[t]} * w[t]);
+    }
+    out[o] = static_cast<std::int32_t>(sum);
+  }
+}
+
+#if defined(MSA_SIMD_SSE2)
+
+__m128i load_taps(const std::int16_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// dot_rows_scalar with pmaddwd, four weight rows per pass so each im2col
+/// load feeds four multiply-adds.
+void dot_rows_sse2(const std::int16_t* row, const std::int16_t* weights,
+                   std::size_t taps, std::size_t n_rows,
+                   std::int32_t* out) noexcept {
+  std::size_t o = 0;
+  for (; o + 4 <= n_rows; o += 4) {
+    const std::int16_t* w0 = weights + o * taps;
+    const std::int16_t* w1 = w0 + taps;
+    const std::int16_t* w2 = w1 + taps;
+    const std::int16_t* w3 = w2 + taps;
+    __m128i a0 = _mm_setzero_si128();
+    __m128i a1 = _mm_setzero_si128();
+    __m128i a2 = _mm_setzero_si128();
+    __m128i a3 = _mm_setzero_si128();
+    for (std::size_t t = 0; t < taps; t += 8) {
+      const __m128i x = load_taps(row + t);
+      a0 = _mm_add_epi32(a0, _mm_madd_epi16(x, load_taps(w0 + t)));
+      a1 = _mm_add_epi32(a1, _mm_madd_epi16(x, load_taps(w1 + t)));
+      a2 = _mm_add_epi32(a2, _mm_madd_epi16(x, load_taps(w2 + t)));
+      a3 = _mm_add_epi32(a3, _mm_madd_epi16(x, load_taps(w3 + t)));
+    }
+    // Transpose-add the four accumulators into one vector of four sums.
+    const __m128i s01 = _mm_add_epi32(_mm_unpacklo_epi32(a0, a1),
+                                      _mm_unpackhi_epi32(a0, a1));
+    const __m128i s23 = _mm_add_epi32(_mm_unpacklo_epi32(a2, a3),
+                                      _mm_unpackhi_epi32(a2, a3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + o),
+                     _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
+                                   _mm_unpackhi_epi64(s01, s23)));
+  }
+  for (; o < n_rows; ++o) {
+    const std::int16_t* w = weights + o * taps;
+    __m128i acc = _mm_setzero_si128();
+    for (std::size_t t = 0; t < taps; t += 8) {
+      acc = _mm_add_epi32(acc, _mm_madd_epi16(load_taps(row + t),
+                                              load_taps(w + t)));
+    }
+    acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
+    acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
+    out[o] = _mm_cvtsi128_si32(acc);
+  }
+}
+
+#endif
 
 }  // namespace
 
@@ -48,10 +165,15 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       weights_{std::move(weights)},
       bias_{std::move(bias)} {
   if (stride_ == 0 || k_ == 0) throw std::invalid_argument("Conv2d: bad geometry");
-  const std::size_t expect =
-      static_cast<std::size_t>(out_c_) * in_c_ * k_ * k_;
-  if (weights_.size() != expect || bias_.size() != out_c_) {
+  const std::size_t taps = static_cast<std::size_t>(in_c_) * k_ * k_;
+  if (weights_.size() != out_c_ * taps || bias_.size() != out_c_) {
     throw std::invalid_argument("Conv2d: parameter size mismatch");
+  }
+  row_taps_ = (taps + kTapAlign - 1) / kTapAlign * kTapAlign;
+  packed_weights_.assign(out_c_ * row_taps_, 0);
+  for (std::size_t oc = 0; oc < out_c_; ++oc) {
+    std::copy_n(weights_.data() + oc * taps, taps,
+                packed_weights_.data() + oc * row_taps_);
   }
 }
 
@@ -70,73 +192,55 @@ TensorShape Conv2d::output_shape(const TensorShape& in) const {
 }
 
 Tensor Conv2d::forward(const Tensor& in) const {
-  // Accumulator-plane formulation: for each (ic, ky, kx) tap, add the
-  // scalar-weighted input row into a reused int32 plane, then requantize
-  // the plane once per output channel. int32 addition is associative and
-  // commutative, so every output pixel receives exactly the same sum as
-  // the per-pixel gather loop — just in tap order instead of pixel order
-  // — while the inner loop becomes a dense multiply-accumulate the
-  // compiler can vectorize (no bounds checks, no out-of-line calls).
+  // im2col + GEMM: gather each output pixel's receptive field into one
+  // row of int16 taps in weight order [ic][ky][kx] (taps outside the
+  // image stay 0), then each output is that row dotted with its out
+  // channel's packed weights. Integer sums are order-free, so every
+  // output equals the per-pixel gather loop's bit for bit.
   const TensorShape os = output_shape(in.shape());
-  Tensor out{os};
   const auto& ish = in.shape();
   const std::int8_t* src = in.data().data();
-  std::int8_t* dst = out.data().data();
   const std::size_t in_plane = static_cast<std::size_t>(ish.h) * ish.w;
-  const std::size_t out_plane = static_cast<std::size_t>(os.h) * os.w;
-  std::vector<std::int32_t> acc(out_plane);
-  for (std::uint32_t oc = 0; oc < out_c_; ++oc) {
-    std::fill(acc.begin(), acc.end(), bias_[oc]);
-    const std::int8_t* wbase =
-        weights_.data() + static_cast<std::size_t>(oc) * in_c_ * k_ * k_;
-    for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
-      const std::int8_t* plane = src + static_cast<std::size_t>(ic) * in_plane;
-      for (std::uint32_t ky = 0; ky < k_; ++ky) {
-        // iy = oy*stride + ky - pad must land in [0, ish.h); solve for
-        // the valid [oy0, oy1] range once instead of testing per pixel.
-        const std::int64_t off_y = static_cast<std::int64_t>(ky) - pad_;
-        const std::int64_t max_y = static_cast<std::int64_t>(ish.h) - 1 - off_y;
-        if (max_y < 0) continue;
-        const std::uint32_t oy0 =
-            off_y < 0 ? static_cast<std::uint32_t>((-off_y + stride_ - 1) /
-                                                   stride_)
-                      : 0;
-        const std::uint32_t oy1 = std::min(
-            static_cast<std::uint32_t>(max_y / stride_), os.h - 1);
-        for (std::uint32_t kx = 0; kx < k_; ++kx) {
-          const std::int64_t off_x = static_cast<std::int64_t>(kx) - pad_;
-          const std::int64_t max_x =
-              static_cast<std::int64_t>(ish.w) - 1 - off_x;
-          if (max_x < 0) continue;
-          const std::uint32_t ox0 =
-              off_x < 0 ? static_cast<std::uint32_t>((-off_x + stride_ - 1) /
-                                                     stride_)
-                        : 0;
-          const std::uint32_t ox1 = std::min(
-              static_cast<std::uint32_t>(max_x / stride_), os.w - 1);
-          if (ox0 > ox1 || oy0 > oy1) continue;
-          const std::int32_t w =
-              wbase[(static_cast<std::size_t>(ic) * k_ + ky) * k_ + kx];
-          if (w == 0) continue;
-          for (std::uint32_t oy = oy0; oy <= oy1; ++oy) {
-            const std::int8_t* in_row =
-                plane + (static_cast<std::int64_t>(oy) * stride_ + off_y) *
-                            ish.w;
-            std::int32_t* acc_row = acc.data() + static_cast<std::size_t>(oy) *
-                                                     os.w;
-            for (std::uint32_t ox = ox0; ox <= ox1; ++ox) {
-              acc_row[ox] +=
-                  w * in_row[static_cast<std::int64_t>(ox) * stride_ + off_x];
-            }
-          }
+  const std::size_t pixels = static_cast<std::size_t>(os.h) * os.w;
+  std::vector<std::int16_t> cols(pixels * row_taps_, 0);
+  for (std::uint32_t oy = 0; oy < os.h; ++oy) {
+    for (std::uint32_t ox = 0; ox < os.w; ++ox) {
+      std::int16_t* tap =
+          cols.data() + (static_cast<std::size_t>(oy) * os.w + ox) * row_taps_;
+      const std::int64_t y0 = static_cast<std::int64_t>(oy) * stride_ - pad_;
+      const std::int64_t x0 = static_cast<std::int64_t>(ox) * stride_ - pad_;
+      // The in-image kx range is the same for every (ic, ky).
+      const std::int64_t kx0 = std::max<std::int64_t>(0, -x0);
+      const std::int64_t kx1 = std::min<std::int64_t>(k_, ish.w - x0);
+      for (std::uint32_t ic = 0; ic < in_c_; ++ic) {
+        const std::int8_t* plane = src + ic * in_plane;
+        for (std::uint32_t ky = 0; ky < k_; ++ky, tap += k_) {
+          const std::int64_t iy = y0 + ky;
+          if (iy < 0 || iy >= ish.h) continue;
+          const std::int8_t* in_row = plane + iy * ish.w;
+          for (std::int64_t kx = kx0; kx < kx1; ++kx) tap[kx] = in_row[x0 + kx];
         }
       }
     }
-    std::int8_t* out_row = dst + static_cast<std::size_t>(oc) * out_plane;
-    for (std::size_t i = 0; i < out_plane; ++i) {
-      std::int8_t v = requantize(acc[i], requant_shift_);
+  }
+
+  auto* dot_rows = &dot_rows_scalar;
+#if defined(MSA_SIMD_SSE2)
+  if (img::simd_enabled()) dot_rows = &dot_rows_sse2;
+#endif
+  Tensor out{os};
+  std::int8_t* dst = out.data().data();
+  std::vector<std::int32_t> acc(out_c_);
+  for (std::size_t p = 0; p < pixels; ++p) {
+    dot_rows(cols.data() + p * row_taps_, packed_weights_.data(), row_taps_,
+             out_c_, acc.data());
+    for (std::uint32_t oc = 0; oc < out_c_; ++oc) {
+      const std::int32_t sum = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(bias_[oc]) +
+          static_cast<std::uint32_t>(acc[oc]));
+      std::int8_t v = requantize(sum, requant_shift_);
       if (relu_ && v < 0) v = 0;
-      out_row[i] = v;
+      dst[oc * pixels + p] = v;
     }
   }
   return out;
@@ -155,14 +259,7 @@ void Conv2d::serialize(std::vector<std::uint8_t>& out) const {
   put_u32(out, pad_);
   out.push_back(relu_ ? 1 : 0);
   put_u32(out, requant_shift_);
-  put_u32(out, static_cast<std::uint32_t>(weights_.size()));
-  for (const std::int8_t w : weights_) {
-    out.push_back(static_cast<std::uint8_t>(w));
-  }
-  put_u32(out, static_cast<std::uint32_t>(bias_.size()));
-  for (const std::int32_t b : bias_) {
-    put_u32(out, static_cast<std::uint32_t>(b));
-  }
+  put_params(out, weights_, bias_);
 }
 
 // ------------------------------------------------------------- MaxPool2d ---
@@ -300,14 +397,7 @@ void Dense::serialize(std::vector<std::uint8_t>& out) const {
   put_u32(out, out_);
   out.push_back(relu_ ? 1 : 0);
   put_u32(out, requant_shift_);
-  put_u32(out, static_cast<std::uint32_t>(weights_.size()));
-  for (const std::int8_t w : weights_) {
-    out.push_back(static_cast<std::uint8_t>(w));
-  }
-  put_u32(out, static_cast<std::uint32_t>(bias_.size()));
-  for (const std::int32_t b : bias_) {
-    put_u32(out, static_cast<std::uint32_t>(b));
-  }
+  put_params(out, weights_, bias_);
 }
 
 // ---------------------------------------------------------- deserializer ---
@@ -326,24 +416,9 @@ std::unique_ptr<Layer> deserialize_layer(std::span<const std::uint8_t> blob,
       if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated conv");
       const bool relu = blob[pos++] != 0;
       const std::uint32_t shift = get_u32(blob, pos);
-      const std::uint32_t n_w = get_u32(blob, pos);
-      if (n_w > blob.size() || pos + n_w > blob.size()) {
-        throw std::invalid_argument("xmodel: truncated weights");
-      }
-      std::vector<std::int8_t> w(n_w);
-      for (std::uint32_t i = 0; i < n_w; ++i) {
-        w[i] = static_cast<std::int8_t>(blob[pos++]);
-      }
-      const std::uint32_t n_b = get_u32(blob, pos);
-      // Validate the length BEFORE sizing the vector: residue parsing must
-      // reject corrupted counts, not ask the allocator for 16 GiB.
-      if (static_cast<std::uint64_t>(n_b) * 4 > blob.size() - pos) {
-        throw std::invalid_argument("xmodel: truncated bias");
-      }
-      std::vector<std::int32_t> b(n_b);
-      for (std::uint32_t i = 0; i < n_b; ++i) {
-        b[i] = static_cast<std::int32_t>(get_u32(blob, pos));
-      }
+      std::vector<std::int8_t> w;
+      std::vector<std::int32_t> b;
+      get_params(blob, pos, w, b);
       return std::make_unique<Conv2d>(in_c, out_c, k, stride, pad, relu, shift,
                                       std::move(w), std::move(b));
     }
@@ -360,22 +435,9 @@ std::unique_ptr<Layer> deserialize_layer(std::span<const std::uint8_t> blob,
       if (pos >= blob.size()) throw std::invalid_argument("xmodel: truncated dense");
       const bool relu = blob[pos++] != 0;
       const std::uint32_t shift = get_u32(blob, pos);
-      const std::uint32_t n_w = get_u32(blob, pos);
-      if (n_w > blob.size() || pos + n_w > blob.size()) {
-        throw std::invalid_argument("xmodel: truncated weights");
-      }
-      std::vector<std::int8_t> w(n_w);
-      for (std::uint32_t i = 0; i < n_w; ++i) {
-        w[i] = static_cast<std::int8_t>(blob[pos++]);
-      }
-      const std::uint32_t n_b = get_u32(blob, pos);
-      if (static_cast<std::uint64_t>(n_b) * 4 > blob.size() - pos) {
-        throw std::invalid_argument("xmodel: truncated bias");
-      }
-      std::vector<std::int32_t> b(n_b);
-      for (std::uint32_t i = 0; i < n_b; ++i) {
-        b[i] = static_cast<std::int32_t>(get_u32(blob, pos));
-      }
+      std::vector<std::int8_t> w;
+      std::vector<std::int32_t> b;
+      get_params(blob, pos, w, b);
       return std::make_unique<Dense>(in, out, relu, shift, std::move(w),
                                      std::move(b));
     }

@@ -1,9 +1,11 @@
-// Quantized inference layers. Deliberately small and naive: the attack
-// does not depend on inference speed, only on the layers producing real
-// weight and activation buffers with deterministic content. Arithmetic is
-// int8 weights/activations with int32 accumulation and a per-layer
-// right-shift requantization, the standard fixed-point scheme DPU-class
-// accelerators use.
+// Quantized inference layers. The attack depends only on the layers
+// producing real weight and activation buffers with deterministic
+// content, but the victim's inference is most of a simulated trial, so
+// Conv2d runs as an exact integer GEMM: an im2col matrix of int16 taps
+// times int16-widened weights, with an SSE2 multiply-add kernel behind
+// img::set_simd_enabled(). Arithmetic is int8 weights/activations with
+// int32 accumulation and a per-layer right-shift requantization, the
+// standard fixed-point scheme DPU-class accelerators use.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +66,10 @@ class Conv2d final : public Layer {
   std::uint32_t requant_shift_;
   std::vector<std::int8_t> weights_;
   std::vector<std::int32_t> bias_;
+  /// weights_ widened to int16, one row of row_taps_ per out channel;
+  /// the taps past in_c*k*k are zero.
+  std::size_t row_taps_;
+  std::vector<std::int16_t> packed_weights_;
 };
 
 class MaxPool2d final : public Layer {

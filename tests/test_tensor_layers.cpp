@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
+
+#include "img/score_kernels.h"
+#include "util/prng.h"
 
 namespace msa::vitis {
 namespace {
@@ -112,6 +117,139 @@ TEST(Conv2d, ParameterSizeValidation) {
   EXPECT_THROW((Conv2d{1, 1, 3, 1, 0, false, 0,
                        std::vector<std::int8_t>(9, 0), {0, 0}}),
                std::invalid_argument);
+}
+
+// Per-pixel gather reference for Conv2d::forward: for every output, sum
+// bias + w*x over the in-image taps in int64, then requantize.
+struct ConvCase {
+  std::uint32_t in_c, out_c, k, stride, pad, shift;
+  bool relu;
+  std::vector<std::int8_t> weights;
+  std::vector<std::int32_t> bias;
+  Tensor input;
+};
+
+Tensor reference_conv(const ConvCase& c, const Tensor& in) {
+  const TensorShape& is = in.shape();
+  const TensorShape os{c.out_c, (is.h + 2 * c.pad - c.k) / c.stride + 1,
+                       (is.w + 2 * c.pad - c.k) / c.stride + 1};
+  Tensor out{os};
+  for (std::uint32_t oc = 0; oc < os.c; ++oc) {
+    for (std::uint32_t oy = 0; oy < os.h; ++oy) {
+      for (std::uint32_t ox = 0; ox < os.w; ++ox) {
+        std::int64_t acc = c.bias[oc];
+        for (std::uint32_t ic = 0; ic < c.in_c; ++ic) {
+          for (std::uint32_t ky = 0; ky < c.k; ++ky) {
+            for (std::uint32_t kx = 0; kx < c.k; ++kx) {
+              const std::int64_t iy =
+                  static_cast<std::int64_t>(oy) * c.stride + ky - c.pad;
+              const std::int64_t ix =
+                  static_cast<std::int64_t>(ox) * c.stride + kx - c.pad;
+              if (iy < 0 || ix < 0 || iy >= is.h || ix >= is.w) continue;
+              acc += static_cast<std::int64_t>(
+                         c.weights[((static_cast<std::size_t>(oc) * c.in_c +
+                                     ic) * c.k + ky) * c.k + kx]) *
+                     in.at(ic, static_cast<std::uint32_t>(iy),
+                           static_cast<std::uint32_t>(ix));
+            }
+          }
+        }
+        EXPECT_EQ(acc, static_cast<std::int32_t>(acc)) << "case overflows int32";
+        std::int32_t v = std::clamp(
+            static_cast<std::int32_t>(acc) >> c.shift, -128, 127);
+        if (c.relu && v < 0) v = 0;
+        out.set(oc, oy, ox, static_cast<std::int8_t>(v));
+      }
+    }
+  }
+  return out;
+}
+
+/// An int8 value, pinned to an extreme a quarter of the time each way.
+std::int8_t draw_int8(util::Prng& prng) {
+  switch (prng.below(4)) {
+    case 0: return -128;
+    case 1: return 127;
+    default: return static_cast<std::int8_t>(prng.between(0, 255) - 128);
+  }
+}
+
+/// A k x k case over in_c channels; `side` 0 draws an odd input side
+/// from the smallest that fits the kernel (1x1 outputs) up.
+ConvCase random_case(util::Prng& prng, std::uint32_t k, std::uint32_t in_c,
+                     std::uint32_t side = 0) {
+  ConvCase c;
+  c.k = k;
+  c.in_c = in_c;
+  c.out_c = static_cast<std::uint32_t>(prng.between(1, 9));
+  c.stride = static_cast<std::uint32_t>(prng.between(1, 4));
+  c.pad = static_cast<std::uint32_t>(prng.between(0, k));
+  c.shift = static_cast<std::uint32_t>(prng.between(0, 16));
+  c.relu = prng.chance(0.5);
+  if (side != 0) c.pad = 0;
+  const auto draw_side = [&] {
+    if (side != 0) return side;
+    const std::uint32_t min = k > 2 * c.pad ? k - 2 * c.pad : 1;
+    return static_cast<std::uint32_t>(prng.between(min, min + 12)) | 1u;
+  };
+  const std::uint32_t h = draw_side();
+  c.input = Tensor{TensorShape{in_c, h, draw_side()}};
+  for (auto& v : c.input.data()) v = draw_int8(prng);
+  c.weights.resize(static_cast<std::size_t>(c.out_c) * in_c * k * k);
+  for (auto& w : c.weights) w = draw_int8(prng);
+  c.bias.resize(c.out_c);
+  for (auto& b : c.bias) {
+    b = static_cast<std::int32_t>(prng.between(0, 1u << 21)) - (1 << 20);
+  }
+  return c;
+}
+
+TEST(Conv2d, MatchesGatherReferenceWithSimdOnAndOff) {
+  util::Prng prng{0xC0417u};
+  std::vector<ConvCase> cases;
+  for (int i = 0; i < 200; ++i) {
+    const auto k = static_cast<std::uint32_t>(prng.between(1, 5));
+    cases.push_back(random_case(prng, k, static_cast<std::uint32_t>(
+                                             prng.between(1, 20))));
+  }
+  // in_c * k * k congruent to 0, 1 and 15 mod 16 (row padding of 0, 15
+  // and 1 taps), at 1x1, 3x3 and 5x5.
+  for (const auto& [k, in_c] : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {1, 16}, {1, 17}, {1, 15}, {3, 16}, {3, 9}, {3, 7},
+           {5, 16}, {5, 9}, {5, 7}}) {
+    cases.push_back(random_case(prng, k, in_c));
+  }
+  // A 1x1 output: the kernel exactly covers an unpadded input.
+  cases.push_back(random_case(prng, 3, 4, /*side=*/3));
+  // Every weight and input at -128: each product is the largest int16 x
+  // int16 term, 2^14, over the largest tap count above (400 -> 2^22.6).
+  ConvCase worst = random_case(prng, 5, 16);
+  std::fill(worst.weights.begin(), worst.weights.end(), std::int8_t{-128});
+  std::fill(worst.input.data().begin(), worst.input.data().end(),
+            std::int8_t{-128});
+  cases.push_back(worst);
+
+  std::set<std::size_t> residues;
+  bool saw_1x1 = false;
+  for (const ConvCase& c : cases) {
+    residues.insert(c.in_c * c.k * c.k % 16);
+    const Conv2d conv{c.in_c, c.out_c, c.k, c.stride, c.pad,
+                      c.relu, c.shift, c.weights, c.bias};
+    const Tensor want = reference_conv(c, c.input);
+    saw_1x1 = saw_1x1 || (want.shape().h == 1 && want.shape().w == 1);
+    for (const bool simd : {true, false}) {
+      img::set_simd_enabled(simd);
+      const Tensor got = conv.forward(c.input);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(got.data(), want.data())
+          << conv.name() << " stride " << c.stride << " pad " << c.pad
+          << " in " << c.input.shape().h << "x" << c.input.shape().w
+          << " simd " << simd;
+    }
+    img::set_simd_enabled(true);
+  }
+  EXPECT_TRUE(residues.count(0) && residues.count(1) && residues.count(15));
+  EXPECT_TRUE(saw_1x1);
 }
 
 TEST(MaxPool2d, TakesWindowMax) {
