@@ -105,7 +105,9 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -161,8 +163,9 @@ int usage(const char* argv0) {
       "  --axis sweeps any registered scenario knob (list them with the\n"
       "  `axes` subcommand); values are typed and validated per axis\n"
       "  --cells restricts stats/diff to cells matching every given\n"
-      "  AXIS=VALUE[,VALUE...] clause (values by canonical label; on a\n"
-      "  compacted store only the matching blocks are read)\n"
+      "  AXIS=VALUE[,VALUE...] clause (values by canonical label; a value\n"
+      "  no opened store lists is a usage error; on a compacted store\n"
+      "  only the matching blocks are read)\n"
       "  compact rewrites stores into sorted block-indexed segments; the\n"
       "  default merges everything into one segment, --max-level-bytes N\n"
       "  keeps a tiered shape where levels over N bytes merge downward\n"
@@ -483,6 +486,17 @@ void print_report(const Report& report, OutputFormat format) {
   }
 }
 
+/// Says which --cells value no opened store lists and returns false, or
+/// returns true when every value is listed somewhere.
+bool check_cells_listed(
+    const msa::persist::CellFilter& filter,
+    const std::map<std::string, std::set<std::string>>& listed) {
+  const std::string unlisted = filter.first_unlisted(listed);
+  if (unlisted.empty()) return true;
+  std::fprintf(stderr, "--cells: no store lists %s\n", unlisted.c_str());
+  return false;
+}
+
 void warn_torn_tail(const msa::persist::SweepData& data,
                     const std::string& what) {
   if (!data.truncated_tail) return;
@@ -546,6 +560,7 @@ int run_stats(const char* argv0, int argc, char** argv) {
   try {
     const msa::persist::SweepData data =
         msa::persist::load_sweep(stores, filter);
+    if (!check_cells_listed(filter, data.filter_labels)) return 2;
     print_report(msa::campaign::analyze_sweep(data), format);
     warn_torn_tail(data, "a store");
   } catch (const std::exception& e) {
@@ -622,6 +637,11 @@ int run_diff(const char* argv0, int argc, char** argv) {
         msa::persist::load_sweep({sides[0]}, filter);
     const msa::persist::SweepData b =
         msa::persist::load_sweep({sides[1]}, filter);
+    std::map<std::string, std::set<std::string>> listed = a.filter_labels;
+    for (const auto& [axis, labels] : b.filter_labels) {
+      listed[axis].insert(labels.begin(), labels.end());
+    }
+    if (!check_cells_listed(filter, listed)) return 2;
     warn_torn_tail(a, sides[0]);
     warn_torn_tail(b, sides[1]);
     const msa::campaign::DiffReport report = msa::campaign::diff_sweeps(

@@ -246,6 +246,11 @@ expect_usage diff "$tmp/a.store"
 expect_usage diff "$tmp/a.store" "$tmp/a.store" "$tmp/a.store"
 # A --cells clause on an unknown axis is a usage error, not zero cells.
 expect_usage stats --cells delya_s=5 "$tmp/a.store"
+# So is a value no opened store lists (found after reading the stores):
+# against v2 manifests' value lists, and against the v1 golden's cells.
+expect_usage stats --cells defense=baselin "$tmp/a.store"
+expect_usage stats --cells defense=baselin "$golden"
+expect_usage diff --cells defense=baselin "$tmp/a.store" "$tmp/c.store"
 expect_usage progress
 expect_usage progress --once
 expect_usage compact

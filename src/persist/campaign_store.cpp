@@ -168,6 +168,19 @@ CellFilter::Clause CellFilter::parse_clause(const std::string& spec) {
   return clause;
 }
 
+std::string CellFilter::first_unlisted(
+    const std::map<std::string, std::set<std::string>>& listed) const {
+  for (const Clause& clause : clauses) {
+    const auto it = listed.find(clause.axis);
+    for (const std::string& label : clause.labels) {
+      if (it == listed.end() || it->second.count(label) == 0) {
+        return clause.axis + "=" + label;
+      }
+    }
+  }
+  return "";
+}
+
 TrialRecord TrialRecord::from_result(std::uint64_t cell_index,
                                      std::uint32_t trial,
                                      const attack::ScenarioResult& result) {
@@ -321,6 +334,36 @@ void CampaignStore::sync() {
 
 namespace {
 
+/// Adds to `listed` the labels `reader`'s store lists for each axis
+/// `filter` names (see SweepData::filter_labels).
+void note_filter_labels(const StoreReader& reader, const CellFilter& filter,
+                        std::map<std::string, std::set<std::string>>& listed) {
+  std::vector<campaign::CellStats> cells;  // read once, for v1 axes only
+  bool cells_read = false;
+  for (const CellFilter::Clause& clause : filter.clauses) {
+    std::set<std::string>& labels = listed[clause.axis];
+    const auto& axes = reader.manifest().axes;
+    const auto axis = std::find_if(
+        axes.begin(), axes.end(),
+        [&](const campaign::AxisSpec& a) { return a.name == clause.axis; });
+    if (axis == axes.end()) continue;
+    for (const campaign::AxisValue& value : axis->values) {
+      labels.insert(value.label());
+    }
+    if (!axis->values.empty()) continue;
+    if (!cells_read) {
+      cells = reader.cells();
+      cells_read = true;
+    }
+    for (const campaign::CellStats& cell : cells) {
+      if (const campaign::AxisValue* value =
+              campaign::find_coord(cell.coords, clause.axis)) {
+        labels.insert(value->label());
+      }
+    }
+  }
+}
+
 /// load_sweep's body. When `stores` is given it receives the path and
 /// manifest of every store file read, in read order, for merge_stores'
 /// shard checks.
@@ -356,7 +399,9 @@ SweepData load_stores(
 
   bool first = true;
   for (const std::string& path : files) {
-    StoreContents contents = StoreReader{path}.read_matching(filter);
+    const StoreReader reader{path};
+    StoreContents contents = reader.read_matching(filter);
+    note_filter_labels(reader, filter, out.filter_labels);
     if (stores != nullptr) stores->emplace_back(path, contents.manifest);
     if (first) {
       out.manifest = contents.manifest;

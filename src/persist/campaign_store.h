@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -191,6 +193,12 @@ struct CellFilter {
   /// Values are not range-checked: a store may hold any of them.
   /// Repeated flags append clauses (AND).
   static Clause parse_clause(const std::string& spec);
+
+  /// "AXIS=VALUE" for the first clause label that `listed` (axis ->
+  /// labels the opened stores list for it) does not hold, or "" when
+  /// every label is listed: a misspelt value that would select nothing.
+  [[nodiscard]] std::string first_unlisted(
+      const std::map<std::string, std::set<std::string>>& listed) const;
 };
 
 /// Read-only snapshot of a store file.
@@ -234,6 +242,10 @@ struct SweepData {
   std::size_t duplicate_cells = 0;   ///< identical copies dropped
   std::size_t duplicate_trials = 0;  ///< identical copies dropped
   bool truncated_tail = false;       ///< any store had a torn tail
+  /// For each axis the filter names, every label an opened store lists
+  /// for it: the manifest's value list, or the labels on the store's
+  /// cells where that list is empty (v1 stores never recorded one).
+  std::map<std::string, std::set<std::string>> filter_labels;
 };
 /// A path that names a directory stands for every "*.store" file
 /// directly inside it (a lease-mode workers dir); a directory with none

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -719,6 +720,26 @@ TEST(CellFilter, ValuesParseToCanonicalLabels) {
   EXPECT_TRUE((CellFilter{{CellFilter::parse_clause("delay_s=5.0"),
                            CellFilter::parse_clause("power_cycled=true")}}
                    .matches(coords)));
+}
+
+TEST(CellFilter, LoadListsLabelsSoAMisspeltValueIsNamed) {
+  // A misspelt value selects nothing. load_sweep collects what the
+  // manifest lists for each filtered axis, so the CLI can name the value.
+  const std::string path =
+      write_shard("listed.store", small_grid(), make_options(2, 1), 0, 1);
+  const CellFilter typo{{CellFilter::parse_clause("delay_s=0"),
+                         CellFilter::parse_clause("defense=baseline,baselin")}};
+  const SweepData data = load_sweep({path}, typo);
+  EXPECT_EQ(data.filter_labels.at("delay_s"),
+            (std::set<std::string>{"0", "5"}));
+  EXPECT_EQ(typo.first_unlisted(data.filter_labels), "defense=baselin");
+  EXPECT_EQ(CellFilter{{CellFilter::parse_clause("defense=zero_on_free")}}
+                .first_unlisted(data.filter_labels),
+            "");
+  // An axis the sweep never varied lists nothing.
+  EXPECT_EQ(CellFilter{{CellFilter::parse_clause("power_cycled=1")}}
+                .first_unlisted(data.filter_labels),
+            "power_cycled=1");
 }
 
 TEST(CellFilter, UnknownAxisAndMistypedValueThrow) {

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 
 #include "campaign/compare.h"
@@ -149,6 +150,21 @@ TEST(StoreCompat, CellFilterMatchesAnySpellingOfAValue) {
   EXPECT_EQ(canonical.cells.size(), 2u);
   EXPECT_EQ(stats("delay_s=5.0").to_csv(), canonical.to_csv());
   EXPECT_EQ(stats("delay_s=5e0").to_csv(), canonical.to_csv());
+}
+
+TEST(StoreCompat, V1FilterLabelsComeFromItsCells) {
+  // v1 manifests carry no value lists; every cell's value counts as
+  // listed, even where the filter itself matches no cell.
+  const CellFilter filter{{CellFilter::parse_clause("delay_s=5"),
+                           CellFilter::parse_clause("defense=baselin")}};
+  const SweepData data =
+      load_sweep({data_path("golden_v1_4axis.store")}, filter);
+  EXPECT_TRUE(data.cells.empty());
+  EXPECT_EQ(data.filter_labels.at("delay_s"),
+            (std::set<std::string>{"0", "5"}));
+  EXPECT_EQ(data.filter_labels.at("defense"),
+            (std::set<std::string>{"baseline", "zero_on_free"}));
+  EXPECT_EQ(filter.first_unlisted(data.filter_labels), "defense=baselin");
 }
 
 TEST(StoreCompat, V1DiffsAgainstFreshV2StoreWithZeroDeltas) {
