@@ -347,10 +347,12 @@ void note_filter_labels(const StoreReader& reader, const CellFilter& filter,
         axes.begin(), axes.end(),
         [&](const campaign::AxisSpec& a) { return a.name == clause.axis; });
     if (axis == axes.end()) continue;
-    for (const campaign::AxisValue& value : axis->values) {
-      labels.insert(value.label());
+    if (!axis->values.empty()) {
+      for (const campaign::AxisValue& value : axis->values) {
+        labels.insert(value.label());
+      }
+      continue;
     }
-    if (!axis->values.empty()) continue;
     if (!cells_read) {
       cells = reader.cells();
       cells_read = true;
@@ -399,9 +401,14 @@ SweepData load_stores(
 
   bool first = true;
   for (const std::string& path : files) {
-    const StoreReader reader{path};
-    StoreContents contents = reader.read_matching(filter);
-    note_filter_labels(reader, filter, out.filter_labels);
+    StoreContents contents;
+    {
+      // The reader holds the whole replayed log: let it go before the
+      // merge below, so the two are never in memory together.
+      const StoreReader reader{path};
+      contents = reader.read_matching(filter);
+      note_filter_labels(reader, filter, out.filter_labels);
+    }
     if (stores != nullptr) stores->emplace_back(path, contents.manifest);
     if (first) {
       out.manifest = contents.manifest;
