@@ -68,7 +68,7 @@ class Conv2d final : public Layer {
   std::vector<std::int32_t> bias_;
   /// weights_ widened to int16, one row of row_taps_ per out channel;
   /// the taps past in_c*k*k are zero.
-  std::size_t row_taps_;
+  std::size_t row_taps_ = 0;
   std::vector<std::int16_t> packed_weights_;
 };
 

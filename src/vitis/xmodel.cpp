@@ -105,8 +105,9 @@ std::vector<std::uint8_t> XModel::serialize() const {
   // -Wstringop-overflow misfires on the latter at -O2 and the build is
   // warning-clean under -Werror.
   std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
-  // One allocation: a bound on the container size. No layer frames its
-  // parameters with more than kMaxLayerFraming bytes of fields.
+  // Reserve a bound on the container size so the appends below never
+  // reallocate. No layer frames its parameters with more than
+  // kMaxLayerFraming bytes of fields.
   constexpr std::size_t kMaxLayerFraming = 64;
   std::size_t bound = out.size() + 2 + 4 + name_.size() + 4 +
                       framework_.size() + 4 + 4 * 4 + 4;

@@ -122,8 +122,8 @@ TEST(Conv2d, ParameterSizeValidation) {
 // Per-pixel gather reference for Conv2d::forward: for every output, sum
 // bias + w*x over the in-image taps in int64, then requantize.
 struct ConvCase {
-  std::uint32_t in_c, out_c, k, stride, pad, shift;
-  bool relu;
+  std::uint32_t in_c = 0, out_c = 0, k = 0, stride = 0, pad = 0, shift = 0;
+  bool relu = false;
   std::vector<std::int8_t> weights;
   std::vector<std::int32_t> bias;
   Tensor input;
