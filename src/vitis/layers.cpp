@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "img/score_kernels.h"
@@ -65,6 +66,14 @@ void get_params(std::span<const std::uint8_t> blob, std::size_t& pos,
   }
   bias.resize(n_b);
   for (std::int32_t& b : bias) b = static_cast<std::int32_t>(get_u32(blob, pos));
+}
+
+/// a * b, throwing instead of wrapping when it does not fit in size_t.
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+    throw std::invalid_argument("Conv2d: parameter size overflows");
+  }
+  return a * b;
 }
 
 std::int8_t requantize(std::int32_t acc, std::uint32_t shift) {
@@ -132,17 +141,8 @@ void dot_rows_sse2(const std::int16_t* row, const std::int16_t* weights,
                      _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
                                    _mm_unpackhi_epi64(s01, s23)));
   }
-  for (; o < n_rows; ++o) {
-    const std::int16_t* w = weights + o * taps;
-    __m128i acc = _mm_setzero_si128();
-    for (std::size_t t = 0; t < taps; t += 8) {
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(load_taps(row + t),
-                                              load_taps(w + t)));
-    }
-    acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-    acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-    out[o] = _mm_cvtsi128_si32(acc);
-  }
+  // At most three rows are left; the scalar kernel gives the same bits.
+  dot_rows_scalar(row, weights + o * taps, taps, n_rows - o, out + o);
 }
 
 #endif
@@ -165,8 +165,12 @@ Conv2d::Conv2d(std::uint32_t in_c, std::uint32_t out_c, std::uint32_t k,
       weights_{std::move(weights)},
       bias_{std::move(bias)} {
   if (stride_ == 0 || k_ == 0) throw std::invalid_argument("Conv2d: bad geometry");
-  const std::size_t taps = static_cast<std::size_t>(in_c_) * k_ * k_;
-  if (weights_.size() != out_c_ * taps || bias_.size() != out_c_) {
+  // Residue can carry any u32 geometry, so no product may wrap: a wrapped
+  // in_c*k*k or out_c*taps could match a short weight vector and then
+  // size the packing copy below from the unwrapped tap count.
+  const std::size_t taps = checked_mul(checked_mul(in_c_, k_), k_);
+  if (taps > std::numeric_limits<std::size_t>::max() - (kTapAlign - 1) ||
+      weights_.size() != checked_mul(out_c_, taps) || bias_.size() != out_c_) {
     throw std::invalid_argument("Conv2d: parameter size mismatch");
   }
   row_taps_ = (taps + kTapAlign - 1) / kTapAlign * kTapAlign;

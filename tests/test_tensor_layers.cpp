@@ -357,6 +357,41 @@ TEST(LayerSerialization, TruncatedBlobThrows) {
   EXPECT_THROW((void)deserialize_layer(blob, pos), std::invalid_argument);
 }
 
+/// A serialized Conv2d with the given geometry, no weights and out_c
+/// zero biases: what a residue scan can hand the parser.
+std::vector<std::uint8_t> conv_blob(std::uint32_t in_c, std::uint32_t out_c,
+                                    std::uint32_t k) {
+  std::vector<std::uint8_t> blob{static_cast<std::uint8_t>(LayerKind::kConv2d)};
+  const auto put = [&blob](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) blob.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  };
+  put(in_c);
+  put(out_c);
+  put(k);
+  put(1);  // stride
+  put(0);  // pad
+  blob.push_back(0);  // relu
+  put(0);  // requant shift
+  put(0);  // weight count
+  put(out_c);
+  for (std::uint32_t i = 0; i < out_c; ++i) put(0);
+  return blob;
+}
+
+TEST(LayerSerialization, WrappingConvGeometryThrows) {
+  // out_c * in_c*k*k = 4 * 2^62 wraps to 0, matching the empty weights.
+  const auto wrapped_total = conv_blob(1u << 30, 4, 1u << 16);
+  // in_c*k*k = 2^16 * 2^48 wraps to 0 on its own.
+  const auto wrapped_taps = conv_blob(1u << 16, 4, 1u << 24);
+  for (const auto& blob : {wrapped_total, wrapped_taps}) {
+    std::size_t pos = 0;
+    EXPECT_THROW((void)deserialize_layer(blob, pos), std::invalid_argument);
+  }
+  EXPECT_THROW((Conv2d{1u << 30, 4, 1u << 16, 1, 0, false, 0, {},
+                       std::vector<std::int32_t>(4, 0)}),
+               std::invalid_argument);
+}
+
 TEST(LayerSerialization, UnknownKindThrows) {
   std::vector<std::uint8_t> blob{0xEE};
   std::size_t pos = 0;

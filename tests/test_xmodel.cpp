@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "util/crc32.h"
 #include "util/prng.h"
 #include "vitis/model_zoo.h"
 
@@ -73,6 +74,35 @@ TEST(XModel, DeserializeAtRejectsCorruptedResidue) {
   std::vector<std::uint8_t> residue = blob;
   residue[residue.size() - 10] ^= 0xFF;  // damage inside CRC coverage
   EXPECT_THROW(XModel::deserialize_at(residue, 0), std::invalid_argument);
+}
+
+TEST(XModel, DeserializeAtRejectsWrappingConvGeometry) {
+  // A well-formed container, CRC included, whose one conv layer claims
+  // in_c = 2^30, k = 2^16, out_c = 4: out_c*in_c*k*k wraps to 0, matching
+  // its empty weight vector. The parser must throw, not size from it.
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Conv2d>(
+      1, 4, 1, 1, 0, false, 0, std::vector<std::int8_t>(4, 1),
+      std::vector<std::int32_t>(4, 0)));
+  auto blob = XModel{"crafted", "pt", TensorShape{1, 8, 8}, {},
+                     std::move(layers)}
+                  .serialize();
+  // Conv layer: kind, in_c, out_c, k, stride, pad, relu, shift, n_w,
+  // 4 weights, n_b, 4 biases; then the CRC.
+  const std::size_t layer = blob.size() - 4 - (1 + 20 + 1 + 4 + 4 + 4 + 4 + 16);
+  const auto put = [&blob](std::size_t at, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) blob[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+  };
+  put(layer + 1, 1u << 30);  // in_c
+  put(layer + 9, 1u << 16);  // k
+  put(layer + 26, 0);        // weight count
+  blob.erase(blob.begin() + static_cast<std::ptrdiff_t>(layer + 30),
+             blob.begin() + static_cast<std::ptrdiff_t>(layer + 34));
+  blob.resize(blob.size() - 4);
+  const std::uint32_t crc = util::crc32(blob);
+  blob.resize(blob.size() + 4);
+  put(blob.size() - 4, crc);
+  EXPECT_THROW(XModel::deserialize_at(blob, 0), std::invalid_argument);
 }
 
 TEST(XModel, InstallPathMatchesVitisLayout) {
